@@ -69,7 +69,6 @@ TopologyConfig
 topologyFromFlags(const Flags &flags, const std::string &placement)
 {
     TopologyConfig t;
-    t.enabled = true;
     t.sockets =
         static_cast<std::uint32_t>(flags.getInt("sockets"));
     t.coresPerSocket = static_cast<std::uint32_t>(

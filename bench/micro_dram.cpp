@@ -19,7 +19,6 @@
 #include "dram/dram_system.hh"
 #include "dram/memory_controller.hh"
 #include "sim/smt_system.hh"
-#include "topology/numa_system.hh"
 #include "workload/hammer_workload.hh"
 #include "workload/spec2000.hh"
 #include "workload/synthetic_stream.hh"
@@ -412,42 +411,6 @@ BM_SimThroughput(benchmark::State &state)
         static_cast<double>(cycles), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_SimThroughput)->Arg(0)->Arg(1);
-
-/**
- * Cost of the NUMA indirection layer at trivial size: the same
- * 2-thread run through the legacy SmtSystem (arg 0) and through a
- * 1x1 NumaSystem (arg 1) — socket router, home-tagged frame
- * allocator, and per-core delivery callbacks in the path, but every
- * access local.  Results are byte-identical (the DESIGN.md §17
- * identity guarantee); what this gates is that the pass-through
- * stays cheap, since SMTDRAM_TOPOLOGY=1 routes everything through
- * it.
- */
-void
-BM_NumaOverhead(benchmark::State &state)
-{
-    SystemConfig config = SystemConfig::paperDefault(2);
-    std::vector<AppProfile> apps = {specProfile("mcf"),
-                                    specProfile("swim")};
-    std::uint64_t cycles = 0;
-    for (auto _ : state) {
-        if (state.range(0) != 0) {
-            NumaSystem system(config, apps, 42);
-            const RunResult r = system.run(4'000, 1'000);
-            cycles += r.measuredCycles;
-            benchmark::DoNotOptimize(r.measuredCycles);
-        } else {
-            SmtSystem system(config, apps, 42);
-            const RunResult r = system.run(4'000, 1'000);
-            cycles += r.measuredCycles;
-            benchmark::DoNotOptimize(r.measuredCycles);
-        }
-    }
-    state.SetLabel(state.range(0) != 0 ? "numa-1x1" : "legacy");
-    state.counters["sim_cycles_per_sec"] = benchmark::Counter(
-        static_cast<double>(cycles), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_NumaOverhead)->Arg(0)->Arg(1);
 
 /**
  * Event-driven kernel payoff on memory-idle phases: one thread of

@@ -54,9 +54,8 @@ class StatsRegistry
      *  power-residency/hammer-mitigation series.
      *  v3: NUMA topology block (numa.* scalars, per-socket and
      *  per-thread remote-access series, "sockets"/"cores" meta keys),
-     *  emitted only when the machine has a nontrivial topology; a
-     *  trivial or disabled topology emits the identical v2 key set
-     *  under the v3 version stamp. */
+     *  emitted only when the machine has more than one core; the 1x1
+     *  machine emits the v2 key set under the v3 version stamp. */
     static constexpr std::uint32_t kSchemaVersion = 3;
     static constexpr const char *kSchemaName = "smtdram-stats";
 

@@ -58,11 +58,14 @@ class DramSystem : public MemoryPort
      * Remote-aware overload used by the topology router: the request
      * arrives now (latency accrues from the issuing core's clock) but
      * may not issue before @p remote_until — the cycles in between are
-     * blamed on BlameComponent::RemoteAccess.
+     * blamed on BlameComponent::RemoteAccess.  @p core rides on the
+     * request (DramRequest::core) so the completion can be routed
+     * back without a lookup.
      */
     std::uint64_t enqueueRead(Addr addr, ThreadId thread,
                               const ThreadSnapshot &snap, Cycle now,
-                              bool critical, Cycle remote_until);
+                              bool critical, Cycle remote_until,
+                              std::uint32_t core);
 
     /** Queue a (writeback) write; completes silently. */
     std::uint64_t enqueueWrite(Addr addr, Cycle now) override;

@@ -48,6 +48,9 @@ struct DramRequest {
     Addr addr = kAddrInvalid;
     /** Owning hardware thread; kThreadNone for writebacks. */
     ThreadId thread = kThreadNone;
+    /** Issuing core: the topology router routes the reply back to
+     *  it.  Always 0 on a single-core machine. */
+    std::uint32_t core = 0;
     Cycle arrival = 0;
     ThreadSnapshot snap;
     DramCoord coord;

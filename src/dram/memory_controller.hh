@@ -112,6 +112,42 @@ struct ControllerStats {
     /** Who stalled whom, in cycles (demand reads only). */
     InterferenceMatrix interference;
 
+    /** Fold @p o (another channel or socket) into this aggregate. */
+    void
+    merge(const ControllerStats &o)
+    {
+        reads += o.reads;
+        writes += o.writes;
+        rowHits += o.rowHits;
+        rowEmpty += o.rowEmpty;
+        rowConflicts += o.rowConflicts;
+        busBusyCycles += o.busBusyCycles;
+        refreshes += o.refreshes;
+        refreshBlockedCycles += o.refreshBlockedCycles;
+        readRetries += o.readRetries;
+        retriesExhausted += o.retriesExhausted;
+        scrubReads += o.scrubReads;
+        correctedErrors += o.correctedErrors;
+        uncorrectableErrors += o.uncorrectableErrors;
+        eccCheckCycles += o.eccCheckCycles;
+        readLatencyHist.merge(o.readLatencyHist);
+        queueDepthHist.merge(o.queueDepthHist);
+        rowHitRunHist.merge(o.rowHitRunHist);
+        blameTotals.merge(o.blameTotals);
+        for (std::size_t c = 0; c < kNumBlameComponents; ++c)
+            blameHist[c].merge(o.blameHist[c]);
+        if (perThreadBlame.size() < o.perThreadBlame.size())
+            perThreadBlame.resize(o.perThreadBlame.size());
+        for (std::size_t t = 0; t < o.perThreadBlame.size(); ++t)
+            perThreadBlame[t].merge(o.perThreadBlame[t]);
+        interference.merge(o.interference);
+        if (o.readLatency.count() > 0) {
+            readLatency = mergeDistributions(readLatency, o.readLatency);
+            readQueueing =
+                mergeDistributions(readQueueing, o.readQueueing);
+        }
+    }
+
     /** Paper's row-buffer miss rate: misses / all accesses. */
     double
     rowMissRate() const

@@ -74,6 +74,32 @@ struct PowerStats {
     /** Length of each completed low-power episode, cycles. */
     LogHistogram lowPowerSpanHist;
 
+    /** Fold @p o (another channel or socket) into this aggregate. */
+    void
+    merge(const PowerStats &o)
+    {
+        backgroundEnergy += o.backgroundEnergy;
+        activateEnergy += o.activateEnergy;
+        readEnergy += o.readEnergy;
+        writeEnergy += o.writeEnergy;
+        refreshEnergy += o.refreshEnergy;
+        scrubEnergy += o.scrubEnergy;
+        mitigationEnergy += o.mitigationEnergy;
+        totalEnergy += o.totalEnergy;
+        powerdownEntries += o.powerdownEntries;
+        powerdownExits += o.powerdownExits;
+        selfRefreshEntries += o.selfRefreshEntries;
+        selfRefreshExits += o.selfRefreshExits;
+        exitPenaltyCycles += o.exitPenaltyCycles;
+        refreshesSuppressed += o.refreshesSuppressed;
+        entryPrecharges += o.entryPrecharges;
+        activeCycles += o.activeCycles;
+        powerdownFastCycles += o.powerdownFastCycles;
+        powerdownSlowCycles += o.powerdownSlowCycles;
+        selfRefreshCycles += o.selfRefreshCycles;
+        lowPowerSpanHist.merge(o.lowPowerSpanHist);
+    }
+
     /** Component sum (cross-check against totalEnergy). */
     double
     componentEnergy() const

@@ -75,6 +75,24 @@ struct HammerStats {
     std::uint64_t mitigationCycles = 0;
     /** Misra-Gries spillover increments (tracker at capacity). */
     std::uint64_t trackerEvictions = 0;
+
+    /** Fold @p o (another channel or socket) into this aggregate. */
+    void
+    merge(const HammerStats &o)
+    {
+        activations += o.activations;
+        thresholdCrossings += o.thresholdCrossings;
+        victimFlips += o.victimFlips;
+        victimCorrected += o.victimCorrected;
+        victimUncorrectable += o.victimUncorrectable;
+        silentCorruptions += o.silentCorruptions;
+        flipsScrubbed += o.flipsScrubbed;
+        windowResets += o.windowResets;
+        mitigationsRequested += o.mitigationsRequested;
+        mitigationsIssued += o.mitigationsIssued;
+        mitigationCycles += o.mitigationCycles;
+        trackerEvictions += o.trackerEvictions;
+    }
 };
 
 /** A preventive refresh the tracker wants the controller to issue. */

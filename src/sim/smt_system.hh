@@ -1,7 +1,17 @@
 /**
  * @file
- * The complete simulated machine: SMT core + cache hierarchy + DRAM,
- * plus the run loop and the samplers behind Figures 4 and 5.
+ * The complete simulated machine, plus the run loop and the samplers
+ * behind Figures 4 and 5.
+ *
+ * The machine is sockets x cores.  Each socket owns a DramSystem;
+ * each core is an SmtCore whose cache Hierarchy reaches the home
+ * socket's DRAM through the SocketRouter; an OS scheduler layer
+ * places (and optionally migrates) threads.  The default 1x1
+ * topology is the paper's machine: every access is local and the
+ * router is a pass-through.  All hierarchies share one PageTables, so
+ * a migrated thread keeps its pages, and every core has a context per
+ * OS thread (the SMT-way limit is a placement policy), so per-thread
+ * bookkeeping keeps one global thread id across migrations.
  */
 
 #ifndef SMTDRAM_SIM_SMT_SYSTEM_HH
@@ -24,6 +34,8 @@
 #include "dram/row_hammer.hh"
 #include "sim/system_config.hh"
 #include "topology/numa_stats.hh"
+#include "topology/placement.hh"
+#include "topology/socket_router.hh"
 #include "workload/spec2000.hh"
 #include "workload/synthetic_stream.hh"
 
@@ -37,7 +49,7 @@ struct RunResult {
     std::vector<double> ipc;
     std::vector<std::uint64_t> committed;
 
-    // --- DRAM-side measurements ---
+    // --- DRAM-side measurements, summed over sockets ---
     ControllerStats dram;
     /** Energy/power over the measurement window (always metered). */
     PowerStats power;
@@ -50,7 +62,8 @@ struct RunResult {
     Histogram outstandingHist{{1, 4, 8, 16}};
     /** Figure 5: threads contributing when >=2 requests pending. */
     Histogram threadsHist{{1, 2, 3, 4, 5, 6, 7}};
-    /** Fraction of cycles issuing at least one integer instruction. */
+    /** Fraction of cycles a core issued at least one integer
+     *  instruction, averaged over cores. */
     double intIssueActiveFrac = 0.0;
     double branchMispredictRate = 0.0;
 
@@ -61,8 +74,9 @@ struct RunResult {
      *  thread); p-queries answer "how skewed was service?". */
     LogHistogram bandwidthShareHist;
 
-    /** NUMA-layer counters; all zeros on the legacy single-socket
-     *  machine and on a trivial 1x1 topology. */
+    /** Topology-layer counters.  On a 1x1 machine every access is
+     *  local, so only localReads/localWrites move; the remote, link
+     *  and migration counters stay zero. */
     NumaStats numa;
 };
 
@@ -71,8 +85,9 @@ class SmtSystem
 {
   public:
     /**
-     * @param config machine parameters.
-     * @param apps one profile per hardware thread; size must equal
+     * @param config machine parameters; config.topology shapes the
+     *               machine (1x1 by default).
+     * @param apps one profile per OS thread; size must equal
      *             config.core.numThreads.
      * @param seed workload randomness seed (thread i uses seed + i).
      */
@@ -92,11 +107,6 @@ class SmtSystem
     RunResult run(std::uint64_t measure_insts,
                   std::uint64_t warmup_insts);
 
-    const SmtCore &core() const { return *core_; }
-    const Hierarchy &hierarchy() const { return *hierarchy_; }
-    const DramSystem &dram() const { return *dram_; }
-    const SystemConfig &config() const { return config_; }
-
     /**
      * Dump per-thread commit counts and the full DRAM-side state —
      * the diagnostic payload printed when the forward-progress
@@ -107,15 +117,11 @@ class SmtSystem
     /** Stats registry, or nullptr when no stats output is configured. */
     const StatsRegistry *statsRegistry() const { return registry_.get(); }
 
-    /** Lifecycle tracer, or nullptr when tracing is off. */
-    Tracer *tracer() { return tracer_.get(); }
-
     /**
-     * Write whatever observability outputs are configured (stats
-     * JSON/CSV, trace file) reflecting the machine's current state.
-     * Runs automatically at the end of run() and — through the panic
-     * hook — when the watchdog or an invariant kills the process, so
-     * a wedge leaves a post-mortem instead of nothing.
+     * Write the configured observability outputs (stats JSON/CSV,
+     * trace file) for the current state.  Runs at the end of run()
+     * and, through the panic hook, when the watchdog or an invariant
+     * kills the process, so a wedge leaves a post-mortem.
      */
     void exportObservability();
 
@@ -124,12 +130,11 @@ class SmtSystem
     void stepCycle();
 
     /**
-     * Event-driven kernel: jump the clock to just before the global
-     * min next-event cycle (core, event queue, hierarchy writebacks,
-     * DRAM), clamped to @p clamp so epoch boundaries and the watchdog
-     * expiry are always real-stepped.  Returns how many provably
-     * no-op cycles were skipped (0 when the next cycle has work);
-     * the caller then stepCycle()s the event cycle itself normally.
+     * Event-driven kernel: jump the clock to just before the next
+     * event of any component, clamped to @p clamp (epoch, migration
+     * and watchdog deadlines are always real-stepped).  Returns the
+     * number of provably no-op cycles skipped; the caller then
+     * stepCycle()s the event cycle itself.
      */
     std::uint64_t skipToNextEvent(Cycle clamp);
 
@@ -142,13 +147,51 @@ class SmtSystem
     /** Structural cache warm-up (see .cc for the methodology). */
     void prewarmCaches(const std::vector<AppProfile> &apps);
 
+    /** Bring every socket's lazy energy accounting up to now_. */
+    void syncPower();
+
+    /** Sum one DramSystem::aggregate*Stats over the sockets. */
+    template <class S>
+    S sumSockets(S (DramSystem::*aggregate)() const) const;
+    /** Summed DRAM stats plus the links' interference cycles. */
+    ControllerStats aggDramStats() const;
+    std::uint32_t totalChannels() const;
+    std::uint64_t committedOf(ThreadId tid) const;
+    std::uint64_t grandCommitted() const;
+    bool dramBusy() const;
+    std::size_t dramOutstanding() const;
+    std::uint32_t distinctThreadsOutstanding() const;
+    std::vector<std::uint64_t> perThreadReads() const;
+
+    // --- OS scheduler: epoch migration engine ----------------------
+    void considerMigration();
+    void serviceMigrations();
+
+    /** One in-flight thread move (or half of a swap). */
+    struct PendingMigration {
+        Migration move;
+        Cycle since = 0;
+    };
+
     SystemConfig config_;
     EventQueue events_;
-    std::unique_ptr<DramSystem> dram_;
-    std::unique_ptr<Hierarchy> hierarchy_;
-    std::unique_ptr<SmtCore> core_;
+    std::unique_ptr<NumaFrameAllocator> alloc_;
+    std::unique_ptr<PageTables> pageTables_;
+    std::vector<std::unique_ptr<DramSystem>> drams_;
+    std::unique_ptr<SocketRouter> router_;
+    std::vector<std::unique_ptr<SocketPort>> ports_;
+    std::vector<std::unique_ptr<Hierarchy>> hierarchies_;
+    std::vector<std::unique_ptr<SmtCore>> cores_;
     std::vector<std::unique_ptr<SyntheticStream>> streams_;
+    /** Core currently running each OS thread. */
+    std::vector<std::uint32_t> threadCore_;
     Cycle now_ = 0;
+
+    std::vector<PendingMigration> pendingMigrations_;
+    Cycle lastMigrateAt_ = 0;
+    /** Remote-read counters snapshotted at the last migration epoch. */
+    std::vector<std::uint64_t> remoteBase_;
+    std::vector<std::vector<std::uint64_t>> toSocketBase_;
 
     std::unique_ptr<Tracer> tracer_;
     std::unique_ptr<StatsRegistry> registry_;

@@ -82,12 +82,8 @@ struct SystemConfig {
      */
     KernelMode kernel = KernelMode::PerCycle;
     /**
-     * Multi-socket NUMA topology and OS placement.  Disabled by
-     * default (the classic single-socket machine); a trivial enabled
-     * 1x1 topology is byte-identical to the legacy path.  The
-     * SMTDRAM_TOPOLOGY environment variable ("1"), read once per
-     * process, forces the trivial topology on — the CI identity leg
-     * that proves the equivalence on every golden figure.
+     * Multi-socket NUMA topology and OS placement.  The default 1x1
+     * topology is the paper's single-socket machine.
      */
     TopologyConfig topology;
     /**

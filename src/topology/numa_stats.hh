@@ -3,8 +3,8 @@
  * Counters the NUMA layer adds on top of the per-socket DRAM stats:
  * local/remote traffic split, interconnect cycle totals, and the OS
  * scheduler's migration activity.  Exported as the stats schema v3
- * `numa.*` scalar block (only when the topology is nontrivial, so
- * 1x1 stats output stays byte-identical to the legacy machine).
+ * `numa.*` scalar block (only on a machine with more than one core,
+ * so the 1x1 machine's stats document keeps the v2 key set).
  */
 
 #ifndef SMTDRAM_TOPOLOGY_NUMA_STATS_HH

@@ -1,140 +1,18 @@
 /**
  * @file
- * The multi-socket machine: N sockets x M SMT cores, each socket
- * owning its own DramSystem, connected by a ring interconnect, with
- * an OS scheduler layer placing (and optionally migrating) threads.
- *
- * Structure per core: SmtCore -> Hierarchy -> SocketPort, where the
- * SocketPort routes through the SocketRouter to the home socket's
- * DramSystem.  One PageTables is shared by every hierarchy (with the
- * NUMA frame allocator as its frame source) so a migrated thread
- * keeps its physical pages — which is precisely what makes migration
- * interesting: the pages stay put, the thread moves.
- *
- * Every core is built with a context slot per OS thread (thread ids
- * are global); the per-core SMT-way limit is an OS *policy* capacity
- * enforced by placement/validate, not a structural one.  That keeps
- * all bookkeeping (DRAM per-thread arrays, blame, interference)
- * keyed by the one global thread id before and after migrations.
- *
- * run()/skipToNextEvent() mirror SmtSystem line-for-line; a trivial
- * 1x1 topology is proven byte-identical to SmtSystem under both
- * kernels and all schedulers (tests/topology).
+ * NumaSystem: another name for SmtSystem (which is sockets x cores,
+ * 1x1 by default), kept because the benchmark harness names it.
  */
 
 #ifndef SMTDRAM_TOPOLOGY_NUMA_SYSTEM_HH
 #define SMTDRAM_TOPOLOGY_NUMA_SYSTEM_HH
 
-#include <cstdint>
-#include <iosfwd>
-#include <memory>
-#include <string>
-#include <vector>
-
-#include "common/event_queue.hh"
-#include "common/logging.hh"
-#include "common/stats_registry.hh"
-#include "common/trace_event.hh"
-#include "cpu/smt_core.hh"
 #include "sim/smt_system.hh"
-#include "topology/placement.hh"
-#include "topology/socket_router.hh"
 
 namespace smtdram
 {
 
-/** One simulated NUMA machine executing a set of app profiles. */
-class NumaSystem
-{
-  public:
-    NumaSystem(const SystemConfig &config,
-               const std::vector<AppProfile> &apps, std::uint64_t seed);
-    ~NumaSystem();
-
-    /** Same contract as SmtSystem::run. */
-    RunResult run(std::uint64_t measure_insts,
-                  std::uint64_t warmup_insts);
-
-    const SystemConfig &config() const { return config_; }
-    const SocketRouter &router() const { return *router_; }
-    const DramSystem &dram(std::uint32_t socket) const
-    {
-        return *drams_[socket];
-    }
-    const SmtCore &core(std::uint32_t core) const
-    {
-        return *cores_[core];
-    }
-    /** Core currently running OS thread @p tid. */
-    std::uint32_t threadCore(ThreadId tid) const
-    {
-        return threadCore_[tid];
-    }
-
-    void dumpState(std::ostream &os) const;
-    const StatsRegistry *statsRegistry() const { return registry_.get(); }
-    Tracer *tracer() { return tracer_.get(); }
-    void exportObservability();
-
-  private:
-    void stepCycle();
-    std::uint64_t skipToNextEvent(Cycle clamp);
-    void registerStats();
-    void sampleEpoch();
-    void prewarmCaches(const std::vector<AppProfile> &apps);
-
-    // --- cross-socket aggregation (the legacy stat surface) --------
-    ControllerStats aggDramStats() const;
-    PowerStats aggPowerStats() const;
-    HammerStats aggHammerStats() const;
-    std::uint32_t totalChannels() const;
-    /** (socket, local channel) for a global channel index. */
-    const DramSystem &dramOfChannel(std::uint32_t global,
-                                    std::uint32_t &local) const;
-    std::uint64_t committedOf(ThreadId tid) const;
-    std::uint64_t grandCommitted() const;
-    bool dramBusy() const;
-    std::size_t dramOutstanding() const;
-    std::uint32_t distinctThreadsOutstanding() const;
-    std::vector<std::uint64_t> perThreadReads() const;
-
-    // --- OS scheduler: epoch migration engine ----------------------
-    void considerMigration();
-    void serviceMigrations();
-
-    /** One in-flight thread move (or half of a swap). */
-    struct PendingMigration {
-        ThreadId tid = kThreadNone;
-        std::uint32_t from = 0;
-        std::uint32_t to = 0;
-        Cycle since = 0;
-    };
-
-    SystemConfig config_;
-    EventQueue events_;
-    std::unique_ptr<NumaFrameAllocator> alloc_;
-    std::unique_ptr<PageTables> pageTables_;
-    std::vector<std::unique_ptr<DramSystem>> drams_;
-    std::unique_ptr<SocketRouter> router_;
-    std::vector<std::unique_ptr<SocketPort>> ports_;
-    std::vector<std::unique_ptr<Hierarchy>> hierarchies_;
-    std::vector<std::unique_ptr<SmtCore>> cores_;
-    std::vector<std::unique_ptr<SyntheticStream>> streams_;
-    std::vector<std::uint32_t> threadCore_;
-    Cycle now_ = 0;
-
-    std::vector<PendingMigration> pendingMigrations_;
-    Cycle lastMigrateAt_ = 0;
-    /** Remote-read counters snapshotted at the last migration epoch. */
-    std::vector<std::uint64_t> remoteBase_;
-    std::vector<std::vector<std::uint64_t>> toSocketBase_;
-
-    std::unique_ptr<Tracer> tracer_;
-    std::unique_ptr<StatsRegistry> registry_;
-    Cycle lastEpochAt_ = 0;
-    Cycle statsResetAt_ = 0;
-    PanicHookHandle panicHook_ = 0;
-};
+using NumaSystem = SmtSystem;
 
 } // namespace smtdram
 

@@ -115,4 +115,66 @@ computePlacement(const TopologyConfig &topo,
     return placement;
 }
 
+std::vector<Migration>
+chooseMigrations(const TopologyConfig &topo,
+                 const std::vector<std::uint32_t> &thread_core,
+                 const std::vector<std::uint64_t> &remote,
+                 const std::vector<std::vector<std::uint64_t>>
+                     &reads_to_socket)
+{
+    // Remote reads a thread must accrue per epoch before it is
+    // considered at all (noise floor / hysteresis).
+    constexpr std::uint64_t kThreshold = 16;
+    const auto n = static_cast<std::uint32_t>(thread_core.size());
+    const auto socket_of = [&topo](std::uint32_t core) {
+        return core / topo.coresPerSocket;
+    };
+
+    ThreadId cand = kThreadNone;
+    for (std::uint32_t t = 0; t < n; ++t) {
+        if (remote[t] >= kThreshold &&
+            (cand == kThreadNone || remote[t] > remote[cand]))
+            cand = static_cast<ThreadId>(t);
+    }
+    if (cand == kThreadNone)
+        return {};
+
+    // Where does its data live?  The socket it read most from.
+    std::uint32_t dominant = 0;
+    std::uint64_t best = 0;
+    for (std::uint32_t s = 0; s < topo.sockets; ++s) {
+        if (reads_to_socket[cand][s] > best) {
+            best = reads_to_socket[cand][s];
+            dominant = s;
+        }
+    }
+    const std::uint32_t from = thread_core[cand];
+    if (socket_of(from) == dominant)
+        return {};
+
+    const std::uint32_t ways = topo.effectiveWays(n);
+    std::vector<std::uint32_t> load(topo.totalCores(), 0);
+    for (std::uint32_t t = 0; t < n; ++t)
+        ++load[thread_core[t]];
+    const std::uint32_t lo = dominant * topo.coresPerSocket;
+    for (std::uint32_t c = lo; c < lo + topo.coresPerSocket; ++c) {
+        if (load[c] < ways)
+            return {{cand, from, c}};
+    }
+
+    // Socket full: swap with its least remote-hungry thread.
+    ThreadId victim = kThreadNone;
+    for (std::uint32_t t = 0; t < n; ++t) {
+        if (socket_of(thread_core[t]) != dominant)
+            continue;
+        if (victim == kThreadNone || remote[t] < remote[victim])
+            victim = static_cast<ThreadId>(t);
+    }
+    if (victim == kThreadNone ||
+        remote[cand] < 2 * remote[victim] + kThreshold)
+        return {};
+    const std::uint32_t vcore = thread_core[victim];
+    return {{cand, from, vcore}, {victim, vcore, from}};
+}
+
 } // namespace smtdram

@@ -1,9 +1,9 @@
 /**
  * @file
  * OS thread-placement policies: pure functions from (topology,
- * application profiles) to a thread->core map, plus the memory-
- * intensity score the MemoryAware policy and the migration engine
- * rank threads by.
+ * application profiles) to a thread->core map, the memory-intensity
+ * score the MemoryAware policy ranks threads by, and the epoch
+ * migration policy.
  */
 
 #ifndef SMTDRAM_TOPOLOGY_PLACEMENT_HH
@@ -35,6 +35,30 @@ double memoryIntensityScore(const AppProfile &app);
 std::vector<std::uint32_t>
 computePlacement(const TopologyConfig &topo,
                  const std::vector<AppProfile> &apps);
+
+/** One thread move decided by the OS scheduler. */
+struct Migration {
+    ThreadId tid = kThreadNone;
+    std::uint32_t from = 0;
+    std::uint32_t to = 0;
+};
+
+/**
+ * Epoch migration policy.  Picks the thread that paid the most
+ * remote reads this epoch (@p remote, per thread; at least a noise
+ * floor of them) and moves it toward the socket it read most from
+ * (@p reads_to_socket, per thread and home socket).  Returns no
+ * move, one move onto a free SMT context of that socket, or — when
+ * the socket is full — a swap with its least remote-hungry thread,
+ * guarded by 2x hysteresis so a marginal difference never
+ * ping-pongs.
+ */
+std::vector<Migration>
+chooseMigrations(const TopologyConfig &topo,
+                 const std::vector<std::uint32_t> &thread_core,
+                 const std::vector<std::uint64_t> &remote,
+                 const std::vector<std::vector<std::uint64_t>>
+                     &reads_to_socket);
 
 } // namespace smtdram
 

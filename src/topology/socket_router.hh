@@ -11,6 +11,8 @@
  *
  *  - SocketPort is the MemoryPort each core's Hierarchy talks to; it
  *    forwards to the SocketRouter with the issuing core attached.
+ *    The core rides on the request (DramRequest::core), so routing
+ *    the reply back needs no per-request bookkeeping.
  *
  *  - SocketRouter strips the home tag, crosses the interconnect when
  *    the home socket differs from the issuing core's socket (the
@@ -22,8 +24,7 @@
  *    holds at the delivery boundary.
  *
  * On a 1x1 topology every access is local, the allocator degenerates
- * to the legacy sequential frame counter, and every method is a pure
- * pass-through: the basis of the byte-identity guarantee.
+ * to a sequential frame counter, and every method is a pass-through.
  */
 
 #ifndef SMTDRAM_TOPOLOGY_SOCKET_ROUTER_HH
@@ -31,7 +32,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "dram/blame.hh"
@@ -51,8 +51,8 @@ class NumaFrameAllocator
     /** Home-socket tag position within the *frame* number; the tag
      *  sits at bit kHomeFrameShift + pageShift of the physical
      *  address.  Frames below the tag stay sequential per home, so a
-     *  single-socket machine allocates 0, 1, 2, ... exactly like the
-     *  legacy PageTables counter. */
+     *  single-socket machine allocates 0, 1, 2, ... exactly like a
+     *  private PageTables counter. */
     static constexpr std::uint32_t kHomeFrameShift = 36;
 
     NumaFrameAllocator(const TopologyConfig &topo,
@@ -133,7 +133,6 @@ class SocketRouter
     std::uint64_t write(std::uint32_t core, Addr addr, Cycle now);
 
     const NumaStats &stats() const { return stats_; }
-    const Interconnect &interconnect() const { return net_; }
     /** Link queue waits as who-blocked-whom cycles (merged into the
      *  aggregated DRAM interference matrix). */
     const InterferenceMatrix &linkInterference() const { return linkInterference_; }
@@ -167,11 +166,8 @@ class SocketRouter
     std::vector<DramSystem *> drams_;
     NumaFrameAllocator &alloc_;
     Interconnect net_;
+    /** Per core; indexed by DramRequest::core on completion. */
     std::vector<Delivery> deliver_;
-    /** Per home socket: request id -> issuing core.  Ids are unique
-     *  only within one DramSystem, hence the per-socket maps. */
-    std::vector<std::unordered_map<std::uint64_t, std::uint32_t>>
-        issuers_;
     NumaStats stats_;
     InterferenceMatrix linkInterference_;
     std::vector<std::vector<std::uint64_t>> readsToSocket_;

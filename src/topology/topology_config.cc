@@ -36,7 +36,7 @@ TopologyConfig::validate(std::uint32_t num_threads) const
     fatal_if(sockets == 0, "topology needs at least one socket");
     fatal_if(coresPerSocket == 0,
              "topology needs at least one core per socket");
-    fatal_if(nontrivial() && hopLatency == 0,
+    fatal_if(active() && hopLatency == 0,
              "multi-socket topology needs a nonzero hop latency");
 
     const std::uint32_t cores = totalCores();
@@ -63,7 +63,7 @@ TopologyConfig::validate(std::uint32_t num_threads) const
         }
     }
 
-    if (nontrivial() && smtWays == 0 &&
+    if (active() && smtWays == 0 &&
         placement == PlacementPolicy::Packed && pinned.empty()) {
         warn_once("packed placement with uncapped SMT ways puts every "
                   "thread on core 0 — set smtWays to spread threads");

@@ -4,10 +4,8 @@
  * the machine has, how OS threads are placed onto cores, where each
  * thread's pages live, and what the socket interconnect costs.
  *
- * The default-constructed config describes the classic single-socket
- * machine; a 1x1 topology is *proven* byte-identical to the legacy
- * SmtSystem path (see tests/topology), so enabling the subsystem at
- * trivial size is free.
+ * The default-constructed config describes the paper's single-socket
+ * machine (one socket, one core).
  */
 
 #ifndef SMTDRAM_TOPOLOGY_TOPOLOGY_CONFIG_HH
@@ -41,8 +39,8 @@ const char *homePolicyName(HomePolicy policy);
 
 /** Machine topology and OS placement parameters. */
 struct TopologyConfig {
-    /** Off by default: the single-socket legacy path does not even
-     *  construct the topology layer. */
+    /** Ignored: the machine is always built from the fields below.
+     *  Kept only because the benchmark harness (perfbench/) sets it. */
     bool enabled = false;
 
     std::uint32_t sockets = 1;
@@ -50,8 +48,8 @@ struct TopologyConfig {
 
     /**
      * SMT contexts the OS will schedule per core; 0 means uncapped
-     * (every core structurally holds all threads, as the legacy
-     * machine does).  This is a *policy* capacity — each core is
+     * (every core structurally holds all threads, as the paper's
+     * single core does).  This is a *policy* capacity — each core is
      * built with a context per OS thread so migration never needs
      * to renumber anything.
      */
@@ -75,18 +73,15 @@ struct TopologyConfig {
     /** Pipeline-refill penalty charged on arrival at the new core. */
     Cycle migrationCost = 1000;
 
-    /** The topology layer is in use (even at trivial 1x1 size). */
-    bool active() const { return enabled; }
-
     std::uint32_t totalCores() const { return sockets * coresPerSocket; }
 
     /**
      * True when the topology changes machine behavior: more than one
-     * core exists.  Gates the configSignature() suffix and the
-     * numa.* stats block so a trivial 1x1 topology shares the legacy
-     * signature and byte-identical stats output.
+     * core exists.  Gates the configSignature() suffix and the numa.*
+     * stats block, so the 1x1 machine keeps the paper machine's
+     * signature and stats document.
      */
-    bool nontrivial() const { return enabled && totalCores() > 1; }
+    bool active() const { return totalCores() > 1; }
 
     /** Per-core context cap with the 0-means-uncapped rule applied. */
     std::uint32_t

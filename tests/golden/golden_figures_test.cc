@@ -401,7 +401,6 @@ TEST(GoldenFigures, Fig14Numa)
                                   {"mcf", "equake", "gzip", "bzip2"}};
     auto numa_config = [](PlacementPolicy placement) {
         SystemConfig config = SystemConfig::paperDefault(4);
-        config.topology.enabled = true;
         config.topology.sockets = 2;
         config.topology.coresPerSocket = 1;
         config.topology.smtWays = 2;

@@ -3,10 +3,12 @@
  * Randomized-configuration property: for ANY machine this simulator
  * can be configured into, the per-cycle and event-driven kernels
  * produce byte-identical results.  Each trial draws a thread count,
- * workload, scheduler, page mode, mapping, and a random subset of the
+ * workload, scheduler, page mode, mapping, a random subset of the
  * robustness subsystems (refresh, faults, ECC + scrub, power states,
- * hammer tracking + mitigation, conservation checker), runs both
- * kernels, and diffs the figure metrics, the stats-registry JSON, and
+ * hammer tracking + mitigation, conservation checker), and a machine
+ * topology (sockets, cores per socket, SMT ways, placement policy
+ * including epoch migration, page home policy), runs both kernels,
+ * and diffs the figure metrics, the stats-registry JSON, and
  * dumpState() byte-for-byte.  The drawn seed is logged on failure so
  * any counterexample replays exactly.
  */
@@ -88,6 +90,28 @@ drawConfig(Rng &rng, std::uint32_t num_threads)
     config.dram.checkerEnabled = rng.chance(0.5);
     if (rng.chance(0.3))
         config.observe.epoch = 256 + rng.below(2'048);
+
+    TopologyConfig &topo = config.topology;
+    topo.sockets = 1 + static_cast<std::uint32_t>(rng.below(2));
+    topo.coresPerSocket = 1 + static_cast<std::uint32_t>(rng.below(2));
+    // 0 = uncapped; otherwise just enough ways for every thread, or
+    // one spare.
+    const std::uint32_t cores = topo.totalCores();
+    if (rng.chance(0.7)) {
+        topo.smtWays = (num_threads + cores - 1) / cores +
+                       static_cast<std::uint32_t>(rng.below(2));
+    }
+    static const PlacementPolicy kPlacements[] = {
+        PlacementPolicy::Packed, PlacementPolicy::RoundRobin,
+        PlacementPolicy::MemoryAware, PlacementPolicy::Migrate};
+    topo.placement = kPlacements[rng.below(4)];
+    if (topo.placement == PlacementPolicy::Migrate) {
+        topo.migrationEpoch = 500 + rng.below(2'000);
+        topo.migrationCost = rng.below(500);
+    }
+    static const HomePolicy kHomes[] = {
+        HomePolicy::Local, HomePolicy::Loader, HomePolicy::Interleave};
+    topo.home = kHomes[rng.below(3)];
     return config;
 }
 
@@ -95,7 +119,7 @@ TEST(KernelEquivalenceProperty, RandomConfigsAreByteIdentical)
 {
     Rng rng(20'260'808);
     const std::vector<AppProfile> &profiles = spec2000Profiles();
-    for (int trial = 0; trial < 8; ++trial) {
+    for (int trial = 0; trial < 12; ++trial) {
         const std::uint32_t num_threads =
             1u << rng.below(3);  // 1, 2 or 4
         const std::uint64_t workload_seed = rng.below(10'000) + 1;
@@ -112,7 +136,12 @@ TEST(KernelEquivalenceProperty, RandomConfigsAreByteIdentical)
                      << "trial=" << trial << " threads=" << num_threads
                      << " seed=" << workload_seed << " apps=["
                      << app_names << "] scheduler="
-                     << schedulerName(config.scheduler));
+                     << schedulerName(config.scheduler) << " topology="
+                     << config.topology.sockets << "x"
+                     << config.topology.coresPerSocket << "w"
+                     << config.topology.smtWays << "-"
+                     << placementPolicyName(config.topology.placement)
+                     << "-" << homePolicyName(config.topology.home));
 
         const Snapshot cyc = runKernel(config, apps, workload_seed,
                                        KernelMode::PerCycle, 1'200, 400);
@@ -128,6 +157,8 @@ TEST(KernelEquivalenceProperty, RandomConfigsAreByteIdentical)
                   evt.r.outstandingHist.total());
         EXPECT_EQ(cyc.r.threadsHist.total(), evt.r.threadsHist.total());
         EXPECT_EQ(cyc.r.power.totalEnergy, evt.r.power.totalEnergy);
+        EXPECT_EQ(cyc.r.numa.remoteReads, evt.r.numa.remoteReads);
+        EXPECT_EQ(cyc.r.numa.migrations, evt.r.numa.migrations);
         EXPECT_EQ(cyc.statsJson, evt.statsJson);
         EXPECT_EQ(cyc.dump, evt.dump);
     }

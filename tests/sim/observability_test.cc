@@ -49,9 +49,15 @@ slurp(const std::string &path)
 
 /** Temp artifact paths removed when the test ends. */
 struct TempPaths {
-    std::string trace = "observability_test.trace.json";
-    std::string json = "observability_test.stats.json";
-    std::string csv = "observability_test.stats.csv";
+    /** Per-test names: ctest runs each test as its own process, in
+     *  parallel, so shared names would let one test delete or
+     *  overwrite another's artifacts mid-run. */
+    std::string base =
+        std::string("observability_test.") +
+        testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::string trace = base + ".trace.json";
+    std::string json = base + ".stats.json";
+    std::string csv = base + ".stats.csv";
 
     TempPaths() { cleanup(); }
     ~TempPaths() { cleanup(); }

@@ -3,9 +3,10 @@
  * Topology subsystem tests: ring-hop arithmetic, link queuing,
  * home-tagged frame allocation, placement policies, configuration
  * validation, per-request remote-blame conservation at the router
- * delivery boundary, the migration engine, and — the load-bearing
- * guarantee — byte-identity of a trivial 1x1 NumaSystem with the
- * legacy SmtSystem under every scheduler and both kernels.
+ * delivery boundary, and multi-socket SmtSystem runs: the numa.*
+ * stats block, the migration engine, kernel equivalence, and the
+ * per-core metrics.  The 1x1 machine is covered by every other suite
+ * and by the figure and stats goldens.
  */
 
 #include <gtest/gtest.h>
@@ -22,7 +23,6 @@
 #include "sim/experiment.hh"
 #include "sim/smt_system.hh"
 #include "topology/interconnect.hh"
-#include "topology/numa_system.hh"
 #include "topology/placement.hh"
 #include "topology/socket_router.hh"
 #include "topology/topology_config.hh"
@@ -85,12 +85,11 @@ TEST(Interconnect, LinkQueuingIsDeterministic)
 TEST(FrameAllocator, HomeTaggingAndPolicies)
 {
     TopologyConfig topo;
-    topo.enabled = true;
     topo.sockets = 2;
     topo.home = HomePolicy::Local;
 
     NumaFrameAllocator local(topo, 12);
-    // Socket 0 allocates the legacy sequence 0, 1, 2, ...
+    // Socket 0 allocates the sequential frames 0, 1, 2, ...
     EXPECT_EQ(local.allocate(0), 0u);
     EXPECT_EQ(local.allocate(0), 1u);
     const Addr f = local.allocate(1);
@@ -122,19 +121,9 @@ mixApps()
             specProfile("gzip"), specProfile("bzip2")};
 }
 
-std::vector<AppProfile>
-profilesFor(const WorkloadMix &mix)
-{
-    std::vector<AppProfile> apps;
-    for (const std::string &name : mix.apps)
-        apps.push_back(specProfile(name));
-    return apps;
-}
-
 TEST(Placement, StaticPolicies)
 {
     TopologyConfig topo;
-    topo.enabled = true;
     topo.sockets = 2;
     topo.coresPerSocket = 1;
     topo.smtWays = 2;
@@ -169,7 +158,6 @@ TEST(Placement, MemoryAwareSpreadsByIntensity)
               memoryIntensityScore(specProfile("bzip2")));
 
     TopologyConfig topo;
-    topo.enabled = true;
     topo.sockets = 2;
     topo.coresPerSocket = 1;
     topo.smtWays = 2;
@@ -190,10 +178,47 @@ TEST(Placement, MemoryAwareSpreadsByIntensity)
     EXPECT_NE(spread[0], spread[1]);
 }
 
+TEST(Placement, MigrationPolicyMovesOrSwaps)
+{
+    TopologyConfig topo;
+    topo.sockets = 2;
+    topo.coresPerSocket = 1;
+    topo.smtWays = 2;
+    // Flatten the decision to (tid, from, to) triples.
+    auto decide = [&topo](const std::vector<std::uint32_t> &cores,
+                          const std::vector<std::uint64_t> &remote,
+                          const std::vector<std::vector<std::uint64_t>>
+                              &to_socket) {
+        std::vector<std::vector<std::uint32_t>> out;
+        for (const Migration &m :
+             chooseMigrations(topo, cores, remote, to_socket))
+            out.push_back({m.tid, m.from, m.to});
+        return out;
+    };
+    using Moves = std::vector<std::vector<std::uint32_t>>;
+
+    // Thread 0 runs on socket 1 but reads socket 0; socket 0 has a
+    // free context, so it simply moves.
+    EXPECT_EQ(decide({1, 0, 1}, {40, 0, 5}, {{40, 2}, {0, 0}, {5, 0}}),
+              (Moves{{0, 1, 0}}));
+    // Below the noise floor, or already home: no move.
+    EXPECT_EQ(decide({1, 0, 1}, {10, 0, 5}, {{10, 2}, {0, 0}, {5, 0}}),
+              Moves{});
+    EXPECT_EQ(decide({0, 1, 1}, {40, 0, 5}, {{40, 2}, {0, 0}, {5, 0}}),
+              Moves{});
+
+    // Socket 0 full: swap with its least remote-hungry thread (1)...
+    const std::vector<std::vector<std::uint64_t>> full = {
+        {40, 1}, {0, 9}, {0, 9}, {0, 9}};
+    EXPECT_EQ(decide({1, 0, 0, 1}, {40, 2, 3, 0}, full),
+              (Moves{{0, 1, 0}, {1, 0, 1}}));
+    // ...but only past 2x hysteresis (20 < 2 * 3 + 16).
+    EXPECT_EQ(decide({1, 0, 0, 1}, {20, 3, 3, 0}, full), Moves{});
+}
+
 TEST(TopologyValidateDeathTest, RejectsImpossibleTopologies)
 {
     TopologyConfig topo;
-    topo.enabled = true;
 
     topo.sockets = 0;
     EXPECT_DEATH(topo.validate(1), "at least one socket");
@@ -228,7 +253,6 @@ TEST(TopologyValidateDeathTest, RejectsImpossibleTopologies)
 TEST(SocketRouterTest, RemoteBlameConservesPerRequest)
 {
     TopologyConfig topo;
-    topo.enabled = true;
     topo.sockets = 2;
     topo.coresPerSocket = 1;
     topo.home = HomePolicy::Loader;
@@ -321,35 +345,6 @@ expectSameResult(const RunResult &a, const RunResult &b)
     EXPECT_EQ(a.threadsHist.total(), b.threadsHist.total());
 }
 
-TEST(NumaIdentity, TrivialTopologyMatchesLegacyEverySchedulerKernel)
-{
-    const WorkloadMix &mix = mixByName("2-MEM");
-    const auto apps = profilesFor(mix);
-    for (SchedulerKind scheduler : allSchedulerKindsExtended()) {
-        for (KernelMode kernel :
-             {KernelMode::PerCycle, KernelMode::EventDriven}) {
-            SystemConfig config = SystemConfig::paperDefault(
-                static_cast<std::uint32_t>(apps.size()));
-            config.scheduler = scheduler;
-            config.kernel = kernel;
-
-            SmtSystem legacy(config, apps, kSeed);
-            const RunResult a = legacy.run(kInsts, kWarmup);
-
-            // NumaSystem forces topology.enabled on; everything else
-            // stays at the trivial 1x1 defaults.
-            NumaSystem numa(config, apps, kSeed);
-            const RunResult b = numa.run(kInsts, kWarmup);
-
-            SCOPED_TRACE(std::string(schedulerName(scheduler)) +
-                         (kernel == KernelMode::EventDriven
-                              ? "/event"
-                              : "/cycle"));
-            expectSameResult(a, b);
-        }
-    }
-}
-
 std::string
 slurp(const std::string &path)
 {
@@ -359,40 +354,9 @@ slurp(const std::string &path)
     return buf.str();
 }
 
-TEST(NumaIdentity, TrivialTopologyStatsJsonIsByteIdentical)
-{
-    const WorkloadMix &mix = mixByName("2-MEM");
-    const auto apps = profilesFor(mix);
-    SystemConfig config = SystemConfig::paperDefault(
-        static_cast<std::uint32_t>(apps.size()));
-    const std::string legacy_path =
-        testing::TempDir() + "/numa_identity_legacy.json";
-    const std::string numa_path =
-        testing::TempDir() + "/numa_identity_numa.json";
-
-    config.observe.statsJsonPath = legacy_path;
-    SmtSystem legacy(config, apps, kSeed);
-    legacy.run(kInsts, kWarmup);
-
-    config.observe.statsJsonPath = numa_path;
-    NumaSystem numa(config, apps, kSeed);
-    numa.run(kInsts, kWarmup);
-
-    const std::string a = slurp(legacy_path);
-    const std::string b = slurp(numa_path);
-    ASSERT_FALSE(a.empty());
-    EXPECT_EQ(a, b);
-    // v3 stamp, but no numa.* keys on a trivial topology.
-    EXPECT_NE(a.find("\"version\":3"), std::string::npos);
-    EXPECT_EQ(b.find("numa."), std::string::npos);
-    std::remove(legacy_path.c_str());
-    std::remove(numa_path.c_str());
-}
-
 TEST(NumaSystemTest, NontrivialTopologyExportsNumaStats)
 {
     SystemConfig config = SystemConfig::paperDefault(4);
-    config.topology.enabled = true;
     config.topology.sockets = 2;
     config.topology.coresPerSocket = 1;
     config.topology.smtWays = 2;
@@ -401,7 +365,7 @@ TEST(NumaSystemTest, NontrivialTopologyExportsNumaStats)
     const std::string path = testing::TempDir() + "/numa_stats.json";
     config.observe.statsJsonPath = path;
 
-    NumaSystem numa(config, mixApps(), kSeed);
+    SmtSystem numa(config, mixApps(), kSeed);
     const RunResult r = numa.run(kInsts, kWarmup);
 
     // Loader home + round-robin strands the socket-1 threads remote.
@@ -436,14 +400,13 @@ TEST(NumaSystemTest, MigrationMovesRemoteThreadHome)
     auto run_with = [](KernelMode kernel) {
         SystemConfig config = SystemConfig::paperDefault(4);
         config.kernel = kernel;
-        config.topology.enabled = true;
-        config.topology.sockets = 2;
+            config.topology.sockets = 2;
         config.topology.coresPerSocket = 1;
         config.topology.placement = PlacementPolicy::Migrate;
         config.topology.home = HomePolicy::Loader;
         config.topology.migrationEpoch = 5'000;
         config.topology.migrationCost = 100;
-        NumaSystem numa(config, mixApps(), kSeed);
+        SmtSystem numa(config, mixApps(), kSeed);
         return numa.run(kInsts, 0);
     };
     const RunResult a = run_with(KernelMode::PerCycle);
@@ -459,18 +422,17 @@ TEST(NumaSystemTest, MigrationMovesRemoteThreadHome)
 
 TEST(NumaSystemTest, EventKernelMatchesPerCycleOnTwoSockets)
 {
-    // Differential kernel equivalence on a nontrivial topology with
+    // Differential kernel equivalence on a multi-socket machine with
     // link queuing in play (2 sockets x 2 cores, interleaved home).
     auto run_with = [](KernelMode kernel) {
         SystemConfig config = SystemConfig::paperDefault(4);
         config.kernel = kernel;
-        config.topology.enabled = true;
-        config.topology.sockets = 2;
+            config.topology.sockets = 2;
         config.topology.coresPerSocket = 2;
         config.topology.smtWays = 1;
         config.topology.placement = PlacementPolicy::RoundRobin;
         config.topology.home = HomePolicy::Interleave;
-        NumaSystem numa(config, mixApps(), kSeed);
+        SmtSystem numa(config, mixApps(), kSeed);
         return numa.run(kInsts, kWarmup);
     };
     const RunResult a = run_with(KernelMode::PerCycle);
@@ -480,6 +442,32 @@ TEST(NumaSystemTest, EventKernelMatchesPerCycleOnTwoSockets)
     EXPECT_EQ(a.numa.linkQueueCycles, b.numa.linkQueueCycles);
     EXPECT_EQ(a.numa.outboundCycles, b.numa.outboundCycles);
     EXPECT_EQ(a.numa.returnCycles, b.numa.returnCycles);
+}
+
+TEST(NumaSystemTest, IntIssueFractionIsAMeanOverCores)
+{
+    // Summing every core's int-issue-active cycles over one shared
+    // cycle count overshoots 1 as soon as two cores issue; the
+    // reported value is the mean over cores, so it stays a fraction.
+    auto run_on = [](std::uint32_t sockets, std::uint32_t cores,
+                     const std::vector<AppProfile> &apps) {
+        SystemConfig config = SystemConfig::paperDefault(
+            static_cast<std::uint32_t>(apps.size()));
+        config.topology.sockets = sockets;
+        config.topology.coresPerSocket = cores;
+        config.topology.smtWays = 4 / (sockets * cores);
+        config.topology.placement = PlacementPolicy::RoundRobin;
+        config.topology.home = HomePolicy::Loader;
+        SmtSystem system(config, apps, kSeed);
+        return system.run(kInsts, kWarmup).intIssueActiveFrac;
+    };
+    // The fig14 machine, and 4-ILP on 2 sockets x 2 cores.
+    for (const double frac :
+         {run_on(2, 1, mixApps()),
+          run_on(2, 2, profilesForMix(mixByName("4-ILP")))}) {
+        EXPECT_GT(frac, 0.0);
+        EXPECT_LE(frac, 1.0);
+    }
 }
 
 } // namespace
