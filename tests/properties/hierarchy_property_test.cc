@@ -21,10 +21,21 @@ namespace smtdram
 namespace
 {
 
+// gtest prints an unprintable parameter as its raw bytes, and ctest
+// takes that dump into the test name; the padding is spelled out and
+// zeroed so the name is the same on every build.
 struct HierarchyCase {
+    HierarchyCase(bool infiniteL2, bool infiniteL3, bool prefetch,
+                  std::uint32_t threads)
+        : infiniteL2(infiniteL2), infiniteL3(infiniteL3), prefetch(prefetch),
+          threads(threads)
+    {
+    }
+
     bool infiniteL2;
     bool infiniteL3;
     bool prefetch;
+    std::uint8_t padding = 0;
     std::uint32_t threads;
 };
 
