@@ -34,14 +34,61 @@ Hierarchy::Hierarchy(const HierarchyConfig &config, MemoryPort &dram,
       pendingDram_(num_threads, 0)
 {
     config_.validate();
+    // Every live entry holds an L1 MSHR or a prefetch MSHR, so this
+    // is the most lines that can ever be in flight at once.
+    mshrs_.resize(config.l1i.mshrs + config.l1d.mshrs +
+                  config.prefetchMshrs);
     dram_.setReadCallback([this](const DramRequest &req) {
-        const Cycle when = std::max(
-            req.completion + config_.dramReturnOverhead, events_.now());
-        const Addr line = req.addr;
-        events_.schedule(when, [this, line, when] {
-            handleFill(line, when);
-        });
+        scheduleFill(req.addr,
+                     std::max(req.completion + config_.dramReturnOverhead,
+                              events_.now()));
     });
+}
+
+Hierarchy::Mshr *
+Hierarchy::findMshr(Addr line_addr)
+{
+    for (Mshr &m : mshrs_) {
+        if (m.lineAddr == line_addr)
+            return &m;
+    }
+    return nullptr;
+}
+
+Hierarchy::Mshr &
+Hierarchy::allocateMshr(Addr line_addr, MissSource source)
+{
+    for (Mshr &m : mshrs_) {
+        if (m.lineAddr != kAddrInvalid)
+            continue;
+        m.lineAddr = line_addr;
+        m.source = source;
+        m.fillL1i = m.fillL1d = m.dirtyOnFill = m.prefetch = false;
+        m.targets.clear();
+        ++mshrsLive_;
+        return m;
+    }
+    panic("MSHR file of %zu entries overflowed", mshrs_.size());
+}
+
+void
+Hierarchy::addTarget(Mshr &m, AccessKind kind, ThreadId tid, InstSeq seq)
+{
+    m.targets.push_back(Target{seq, tid, kind});
+    if (kind != AccessKind::InstFetch)
+        ++pendingL1d_[tid];
+    if (kind == AccessKind::Store)
+        m.dirtyOnFill = true;
+    if (m.source != MissSource::L2)
+        ++pendingBeyondL2_[tid];
+    if (m.source == MissSource::Dram)
+        ++pendingDram_[tid];
+}
+
+void
+Hierarchy::scheduleFill(Addr line_addr, Cycle when)
+{
+    events_.schedule(when, [this, line_addr] { handleFill(line_addr); });
 }
 
 MissSource
@@ -55,7 +102,8 @@ Hierarchy::classifyMiss(Addr line_addr) const
 }
 
 AccessResult
-Hierarchy::access(AccessKind kind, ThreadId tid, Addr vaddr, Cycle now)
+Hierarchy::access(AccessKind kind, ThreadId tid, InstSeq seq, Addr vaddr,
+                  Cycle now)
 {
     const bool is_fetch = kind == AccessKind::InstFetch;
     Tlb &tlb = is_fetch ? itlb_ : dtlb_;
@@ -67,7 +115,6 @@ Hierarchy::access(AccessKind kind, ThreadId tid, Addr vaddr, Cycle now)
     std::uint32_t &l1_mshr_used = is_fetch ? mshrUsedL1i_ : mshrUsedL1d_;
 
     AccessResult res;
-    res.tlbPenalty = tlb_penalty;
 
     if (l1.probe(line)) {
         l1.access(line, kind == AccessKind::Store);
@@ -77,9 +124,8 @@ Hierarchy::access(AccessKind kind, ThreadId tid, Addr vaddr, Cycle now)
     }
 
     // --- L1 miss: coalesce into an in-flight line if possible ------
-    auto it = misses_.find(line);
-    if (it != misses_.end()) {
-        OutstandingMiss &m = it->second;
+    if (Mshr *inflight = findMshr(line)) {
+        Mshr &m = *inflight;
         const bool needs_l1_slot =
             is_fetch ? !m.fillL1i : !m.fillL1d;
         if (needs_l1_slot && l1_mshr_used >= l1.config().mshrs) {
@@ -91,27 +137,9 @@ Hierarchy::access(AccessKind kind, ThreadId tid, Addr vaddr, Cycle now)
             (is_fetch ? m.fillL1i : m.fillL1d) = true;
         }
         l1.access(line, false);  // record the demand miss
-
-        Target t;
-        t.missId = nextMissId_++;
-        t.tid = tid;
-        t.kind = kind;
-        t.countsBeyondL2 = m.source != MissSource::L2;
-        t.countsDram = m.source == MissSource::Dram;
-        if (!is_fetch) {
-            ++pendingL1d_[tid];
-            if (kind == AccessKind::Store)
-                m.dirtyOnFill = true;
-        }
-        if (t.countsBeyondL2)
-            ++pendingBeyondL2_[tid];
-        if (t.countsDram)
-            ++pendingDram_[tid];
-        m.targets.push_back(t);
+        addTarget(m, kind, tid, seq);
         ++coalescedTargets_;
-
         res.status = AccessResult::Status::Pending;
-        res.missId = t.missId;
         return res;
     }
 
@@ -146,20 +174,9 @@ Hierarchy::access(AccessKind kind, ThreadId tid, Addr vaddr, Cycle now)
         prefetchedLines_.erase(it_pf);
     }
 
-    OutstandingMiss m;
-    m.lineAddr = line;
-    m.source = source;
-    m.fillL1i = is_fetch;
-    m.fillL1d = !is_fetch;
-    m.dirtyOnFill = kind == AccessKind::Store;
-
-    Target t;
-    t.missId = nextMissId_++;
-    t.tid = tid;
-    t.kind = kind;
-    t.countsBeyondL2 = source != MissSource::L2;
-    t.countsDram = source == MissSource::Dram;
-    m.targets.push_back(t);
+    Mshr &m = allocateMshr(line, source);
+    (is_fetch ? m.fillL1i : m.fillL1d) = true;
+    addTarget(m, kind, tid, seq);
 
     ++l1_mshr_used;
     if (source != MissSource::L2)
@@ -167,32 +184,16 @@ Hierarchy::access(AccessKind kind, ThreadId tid, Addr vaddr, Cycle now)
     if (source == MissSource::Dram)
         ++mshrUsedL3_;
 
-    if (!is_fetch)
-        ++pendingL1d_[tid];
-    if (t.countsBeyondL2)
-        ++pendingBeyondL2_[tid];
-    if (t.countsDram)
-        ++pendingDram_[tid];
-
-    misses_.emplace(line, std::move(m));
-
     switch (source) {
-      case MissSource::L2: {
-        const Cycle when =
-            now + l1.config().latency + l2_.config().latency;
-        events_.schedule(when, [this, line, when] {
-            handleFill(line, when);
-        });
+      case MissSource::L2:
+        scheduleFill(line, now + l1.config().latency +
+                               l2_.config().latency);
         break;
-      }
-      case MissSource::L3: {
-        const Cycle when = now + l1.config().latency +
-                           l2_.config().latency + l3_.config().latency;
-        events_.schedule(when, [this, line, when] {
-            handleFill(line, when);
-        });
+      case MissSource::L3:
+        scheduleFill(line, now + l1.config().latency +
+                               l2_.config().latency +
+                               l3_.config().latency);
         break;
-      }
       case MissSource::Dram: {
         ThreadSnapshot snap;
         if (snapshotProvider_)
@@ -213,7 +214,6 @@ Hierarchy::access(AccessKind kind, ThreadId tid, Addr vaddr, Cycle now)
     }
 
     res.status = AccessResult::Status::Pending;
-    res.missId = t.missId;
     return res;
 }
 
@@ -223,16 +223,12 @@ Hierarchy::maybePrefetch(ThreadId tid, Addr demand_line, Cycle now)
     const Addr line = demand_line + config_.l1d.lineBytes;
     if (mshrUsedPrefetch_ >= config_.prefetchMshrs)
         return;
-    if (misses_.count(line) || l2_.probe(line) || l3_.probe(line))
+    if (findMshr(line) || l2_.probe(line) || l3_.probe(line))
         return;
     if (!dram_.canAccept(line, MemOp::Read))
         return;
 
-    OutstandingMiss m;
-    m.lineAddr = line;
-    m.source = MissSource::Dram;
-    m.prefetch = true;
-    misses_.emplace(line, std::move(m));
+    allocateMshr(line, MissSource::Dram).prefetch = true;
     ++mshrUsedPrefetch_;
 
     ThreadSnapshot snap;
@@ -274,13 +270,15 @@ Hierarchy::queueDramWrite(Addr line_addr, Cycle now)
 }
 
 void
-Hierarchy::handleFill(Addr line_addr, Cycle now)
+Hierarchy::handleFill(Addr line_addr)
 {
-    auto it = misses_.find(line_addr);
-    panic_if(it == misses_.end(), "fill for unknown line %#llx",
+    const Cycle now = events_.now();
+    Mshr *found = findMshr(line_addr);
+    panic_if(!found, "fill for unknown line %#llx",
              (unsigned long long)line_addr);
-    OutstandingMiss m = std::move(it->second);
-    misses_.erase(it);
+    Mshr &m = *found;
+    m.lineAddr = kAddrInvalid;
+    --mshrsLive_;
 
     // Install outermost-first so inner victims can land outward.
     if (m.source == MissSource::Dram && !l3_.probe(line_addr)) {
@@ -335,17 +333,17 @@ Hierarchy::handleFill(Addr line_addr, Cycle now)
             panic_if(pendingL1d_[t.tid] == 0, "pendingL1d underflow");
             --pendingL1d_[t.tid];
         }
-        if (t.countsBeyondL2) {
+        if (m.source != MissSource::L2) {
             panic_if(pendingBeyondL2_[t.tid] == 0,
                      "pendingBeyondL2 underflow");
             --pendingBeyondL2_[t.tid];
         }
-        if (t.countsDram) {
+        if (m.source == MissSource::Dram) {
             panic_if(pendingDram_[t.tid] == 0, "pendingDram underflow");
             --pendingDram_[t.tid];
         }
         if (missCallback_)
-            missCallback_(t.missId, now);
+            missCallback_(t.tid, t.seq, t.kind, now);
     }
 }
 

@@ -15,6 +15,13 @@
  * When a needed MSHR (or the DRAM queue) is full, the access reports
  * Blocked and the core retries — that back-pressure is what clogs the
  * pipeline on memory-intensive workloads.
+ *
+ * Lines in flight live in one fixed MSHR file of l1i.mshrs +
+ * l1d.mshrs + prefetchMshrs entries: every live entry holds an L1
+ * MSHR or a prefetch MSHR, so the file can never overflow.  Each
+ * target names its waiter (thread, instruction sequence number, kind)
+ * and the fill hands exactly that back, so the core needs no map of
+ * its own.
  */
 
 #ifndef SMTDRAM_CACHE_HIERARCHY_HH
@@ -23,7 +30,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -48,22 +54,24 @@ enum class MissSource : std::uint8_t { L2, L3, Dram };
 struct AccessResult {
     enum class Status : std::uint8_t {
         Hit,      ///< data available after `latency` cycles
-        Pending,  ///< completion delivered via callback with `missId`
+        Pending,  ///< completion delivered via the miss callback
         Blocked,  ///< structural hazard (MSHR/queue full): retry
     };
     Status status = Status::Blocked;
-    Cycle latency = 0;          ///< valid for Hit (includes TLB penalty)
-    std::uint64_t missId = 0;   ///< valid for Pending
-    Cycle tlbPenalty = 0;       ///< informational
+    Cycle latency = 0;  ///< valid for Hit (includes TLB penalty)
 };
 
 /** The memory system below the core. */
 class Hierarchy
 {
   public:
-    /** Fired once per completed miss target. */
-    using MissCallback =
-        std::function<void(std::uint64_t missId, Cycle when)>;
+    /**
+     * Fired once per completed miss target, in coalescing order, with
+     * the waiter passed to access().  It runs after the line's MSHR
+     * entry is released and must not call access().
+     */
+    using MissCallback = std::function<void(ThreadId tid, InstSeq seq,
+                                            AccessKind kind, Cycle when)>;
     /** Supplies the thread state piggybacked on DRAM requests. */
     using SnapshotProvider = std::function<ThreadSnapshot(ThreadId)>;
 
@@ -71,11 +79,13 @@ class Hierarchy
               EventQueue &events, std::uint32_t num_threads);
 
     /**
-     * Perform an access.  @p vaddr is a thread-virtual address; the
-     * hierarchy translates it internally.
+     * Perform an access for instruction @p seq of thread @p tid.
+     * @p vaddr is a thread-virtual address; the hierarchy translates
+     * it internally.  A Pending access hands (tid, seq, kind) back to
+     * the miss callback when its line fills.
      */
-    AccessResult access(AccessKind kind, ThreadId tid, Addr vaddr,
-                        Cycle now);
+    AccessResult access(AccessKind kind, ThreadId tid, InstSeq seq,
+                        Addr vaddr, Cycle now);
 
     /** Register the completion callback (one per miss target). */
     void setMissCallback(MissCallback cb) { missCallback_ = std::move(cb); }
@@ -157,7 +167,7 @@ class Hierarchy
     }
 
     /** Outstanding miss entries (lines in flight), all levels. */
-    size_t outstandingLines() const { return misses_.size(); }
+    size_t outstandingLines() const { return mshrsLive_; }
 
     void resetStats();
 
@@ -177,23 +187,34 @@ class Hierarchy
   private:
     /** One coalescing target waiting on a line. */
     struct Target {
-        std::uint64_t missId = 0;
-        ThreadId tid = kThreadNone;
-        AccessKind kind = AccessKind::Load;
-        bool countsBeyondL2 = false;
-        bool countsDram = false;
+        InstSeq seq;
+        ThreadId tid;
+        AccessKind kind;
     };
 
-    /** One line-granular miss in flight. */
-    struct OutstandingMiss {
+    /** One line-granular miss in flight; free when lineAddr is invalid. */
+    struct Mshr {
         Addr lineAddr = kAddrInvalid;
         MissSource source = MissSource::L2;
         bool fillL1i = false;
         bool fillL1d = false;
         bool dirtyOnFill = false;  ///< a store is among the targets
         bool prefetch = false;     ///< occupies a prefetch MSHR
+        /** Cleared, never shrunk: storage is reused across misses. */
         std::vector<Target> targets;
     };
+
+    /** The live entry for @p line_addr, or nullptr. */
+    Mshr *findMshr(Addr line_addr);
+
+    /** Claim a free entry for @p line_addr (one always exists). */
+    Mshr &allocateMshr(Addr line_addr, MissSource source);
+
+    /** Record a new target on @p m and bump the pressure counters. */
+    void addTarget(Mshr &m, AccessKind kind, ThreadId tid, InstSeq seq);
+
+    /** Schedule @p line_addr's fill at cycle @p when. */
+    void scheduleFill(Addr line_addr, Cycle when);
 
     /** Issue a next-line prefetch for the demand miss at @p line. */
     void maybePrefetch(ThreadId tid, Addr demand_line, Cycle now);
@@ -201,8 +222,9 @@ class Hierarchy
     /** Walk the tag arrays to find where a missing line will hit. */
     MissSource classifyMiss(Addr line_addr) const;
 
-    /** Install @p line_addr at fill time and cascade victims. */
-    void handleFill(Addr line_addr, Cycle now);
+    /** Install @p line_addr at fill time (events_.now()), cascade
+     *  victims, and complete its targets. */
+    void handleFill(Addr line_addr);
 
     /** Write a victim line into @p level (allocate-on-writeback). */
     void writebackInto(CacheArray &level, Addr line_addr, Cycle now);
@@ -234,7 +256,9 @@ class Hierarchy
     MissCallback missCallback_;
     SnapshotProvider snapshotProvider_;
 
-    std::unordered_map<Addr, OutstandingMiss> misses_;
+    /** The MSHR file, sized at construction and never resized. */
+    std::vector<Mshr> mshrs_;
+    std::uint32_t mshrsLive_ = 0;
     std::uint32_t mshrUsedL1i_ = 0;
     std::uint32_t mshrUsedL1d_ = 0;
     std::uint32_t mshrUsedL2_ = 0;
@@ -246,7 +270,6 @@ class Hierarchy
     std::vector<std::uint32_t> pendingBeyondL2_;
     std::vector<std::uint32_t> pendingDram_;
 
-    std::uint64_t nextMissId_ = 1;
     std::uint64_t dramReadsIssued_ = 0;
     std::uint64_t dramWritesIssued_ = 0;
     std::uint64_t blockedAccesses_ = 0;

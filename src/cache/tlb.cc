@@ -1,5 +1,7 @@
 #include "cache/tlb.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace smtdram
@@ -37,35 +39,27 @@ PageTables::translate(ThreadId tid, Addr vaddr)
 }
 
 Tlb::Tlb(std::uint32_t entries, Cycle miss_penalty)
-    : entries_(entries), missPenalty_(miss_penalty)
+    : missPenalty_(miss_penalty), tags_(entries, kEmpty)
 {
-    fatal_if(entries_ == 0, "TLB needs at least one entry");
+    fatal_if(entries == 0, "TLB needs at least one entry");
 }
 
 Cycle
 Tlb::lookup(ThreadId tid, Addr vpage)
 {
     const std::uint64_t k = key(tid, vpage);
-    // MRU short-circuit: a repeat of the most recent lookup is
-    // already at the LRU front, so the splice would be a no-op and
-    // the hash probe pure overhead.  State evolution is identical.
-    if (!lru_.empty() && lru_.front() == k) {
-        stats_.hit();
-        return 0;
-    }
-    auto it = index_.find(k);
-    if (it != index_.end()) {
-        lru_.splice(lru_.begin(), lru_, it->second);
+    // Recency order makes the hot pages the first few compares.
+    auto it = std::find(tags_.begin(), tags_.end(), k);
+    const bool hit = it != tags_.end();
+    if (!hit)
+        it = tags_.end() - 1;  // the LRU entry, or an empty one
+    std::copy_backward(tags_.begin(), it, it + 1);
+    tags_.front() = k;
+    if (hit) {
         stats_.hit();
         return 0;
     }
     stats_.miss();
-    lru_.push_front(k);
-    index_[k] = lru_.begin();
-    if (lru_.size() > entries_) {
-        index_.erase(lru_.back());
-        lru_.pop_back();
-    }
     return missPenalty_;
 }
 

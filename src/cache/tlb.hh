@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <unordered_map>
 #include <vector>
 
@@ -68,7 +67,12 @@ class PageTables
     std::function<Addr(ThreadId)> frameSource_;
 };
 
-/** One TLB (I or D): thread-tagged, fully associative, true LRU. */
+/**
+ * One TLB (I or D): thread-tagged, fully associative, true LRU.
+ * A fixed array of tags kept in recency order, most recent first: a
+ * lookup moves its tag to the front, and a miss drops the last tag
+ * (empty entries sit at the back, so they fill first).
+ */
 class Tlb
 {
   public:
@@ -90,11 +94,12 @@ class Tlb
         return (static_cast<std::uint64_t>(tid) << 48) | vpage;
     }
 
-    std::uint32_t entries_;
+    /** Tag of an empty entry; no real (tid, vpage) pair produces it. */
+    static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+
     Cycle missPenalty_;
-    std::list<std::uint64_t> lru_;
-    std::unordered_map<std::uint64_t, std::list<std::uint64_t>::iterator>
-        index_;
+    /** Sized at construction and never resized. */
+    std::vector<std::uint64_t> tags_;
     RatioStat stats_;
 };
 

@@ -53,8 +53,8 @@ SmtCore::SmtCore(const CoreConfig &config, Hierarchy &hierarchy)
     fpIq_.reserve(config_.fpIqSize);
 
     hierarchy_.setMissCallback(
-        [this](std::uint64_t miss_id, Cycle when) {
-            onMissComplete(miss_id, when);
+        [this](ThreadId tid, InstSeq seq, AccessKind kind, Cycle when) {
+            onMissComplete(tid, seq, kind, when);
         });
     hierarchy_.setSnapshotProvider(
         [this](ThreadId tid) { return snapshot(tid); });
@@ -340,7 +340,7 @@ SmtCore::issueStage(Cycle now)
                     if (*fu > 0 && (!needs_port || ports > 0)) {
                         if (cls == OpClass::Load) {
                             AccessResult r = hierarchy_.access(
-                                AccessKind::Load, ref.tid,
+                                AccessKind::Load, ref.tid, ref.seq,
                                 slot.op.effAddr, now);
                             if (r.status ==
                                 AccessResult::Status::Blocked) {
@@ -355,10 +355,6 @@ SmtCore::issueStage(Cycle now)
                                 completions_.push(Completion{
                                     now + execLatency(cls) + r.latency,
                                     ref.tid, ref.seq});
-                            } else {
-                                missWaiters_[r.missId] =
-                                    MissWaiter{ref.tid, ref.seq,
-                                               false};
                             }
                             ++perf_[ref.tid].loads;
                         } else {
@@ -543,17 +539,15 @@ SmtCore::fetchFromThread(ThreadId tid, std::uint32_t budget, Cycle now)
                         hierarchy_.config().l1i.lineBytes - 1);
         if (line != t.lastFetchLine) {
             AccessResult r = hierarchy_.access(AccessKind::InstFetch,
-                                               tid, op.pc, now);
+                                               tid, 0, op.pc, now);
             if (r.status == AccessResult::Status::Blocked) {
                 t.stashedOp = op;
                 t.stashedOpValid = true;
                 break;
             }
             t.lastFetchLine = line;
-            if (r.status == AccessResult::Status::Pending) {
+            if (r.status == AccessResult::Status::Pending)
                 t.icacheBlocked = true;
-                missWaiters_[r.missId] = MissWaiter{tid, 0, true};
-            }
         }
 
         FetchedInst f;
@@ -665,7 +659,7 @@ SmtCore::drainWriteBuffer(Cycle now)
         return;
     const PendingStore &s = writeBuffer_.front();
     const AccessResult r =
-        hierarchy_.access(AccessKind::Store, s.tid, s.vaddr, now);
+        hierarchy_.access(AccessKind::Store, s.tid, 0, s.vaddr, now);
     if (r.status == AccessResult::Status::Blocked)
         return;  // retry next cycle
     // Hit: written.  Pending: the fill installs the line dirty.
@@ -675,17 +669,14 @@ SmtCore::drainWriteBuffer(Cycle now)
 // --------------------------------------------------------------------
 
 void
-SmtCore::onMissComplete(std::uint64_t miss_id, Cycle when)
+SmtCore::onMissComplete(ThreadId tid, InstSeq seq, AccessKind kind,
+                        Cycle when)
 {
-    auto it = missWaiters_.find(miss_id);
-    if (it == missWaiters_.end())
-        return;  // e.g. a store fill nobody waits on
-    const MissWaiter w = it->second;
-    missWaiters_.erase(it);
-    if (w.isFetch)
-        threads_[w.tid].icacheBlocked = false;
-    else
-        markCompleted(w.tid, w.seq, when);
+    if (kind == AccessKind::InstFetch)
+        threads_[tid].icacheBlocked = false;
+    else if (kind == AccessKind::Load)
+        markCompleted(tid, seq, when);
+    // Stores retired long ago: nobody waits on their fill.
 }
 
 void

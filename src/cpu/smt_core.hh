@@ -25,7 +25,6 @@
 
 #include <cstdint>
 #include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/hierarchy.hh"
@@ -230,7 +229,8 @@ class SmtCore
 
     void markCompleted(ThreadId tid, InstSeq seq, Cycle now);
 
-    void onMissComplete(std::uint64_t miss_id, Cycle when);
+    void onMissComplete(ThreadId tid, InstSeq seq, AccessKind kind,
+                        Cycle when);
 
     // ------------------------------------------------------------------
     CoreConfig config_;
@@ -304,14 +304,6 @@ class SmtCore
     std::priority_queue<Completion, std::vector<Completion>,
                         std::greater<>>
         completions_;
-
-    /** Outstanding load / I-fetch cache misses keyed by miss id. */
-    struct MissWaiter {
-        ThreadId tid;
-        InstSeq seq;
-        bool isFetch;
-    };
-    std::unordered_map<std::uint64_t, MissWaiter> missWaiters_;
 
     /** Retired stores on their way to the L1D. */
     struct PendingStore {

@@ -345,7 +345,7 @@ struct DramConfig {
     Cycle
     lineTransferCycles() const
     {
-        return derivedTiming().lineTransfer;
+        return timing.transferCycles(lineBytes, gangDegree);
     }
 
     /**
@@ -356,7 +356,8 @@ struct DramConfig {
     Cycle
     burstCycles() const
     {
-        return derivedTiming().burst;
+        return lineTransferCycles() +
+               (ecc.enabled ? ecc.checkOverheadCycles : 0);
     }
 
     /** Line-sized columns in one (ganged) row. */
@@ -453,66 +454,6 @@ struct DramConfig {
      */
     static DramConfig directRambus(std::uint32_t physical_channels,
                                    std::uint32_t chips_per_channel = 4);
-
-  private:
-    /**
-     * Cached derived bus timings.  transferCycles() runs double
-     * division + ceiling per call, and the controller hot path used
-     * to recompute it on every launch; validate() warms this cache
-     * and the fingerprint keeps it honest if a caller mutates the
-     * underlying knobs afterwards (configs are plain structs, so
-     * tests tweak fields freely after construction).
-     */
-    struct DerivedTiming {
-        Cycle lineTransfer = 0;
-        Cycle burst = 0;
-        // Fingerprint of every input feeding the two values above.
-        std::uint32_t inLineBytes = 0;
-        std::uint32_t inGangDegree = 0;
-        std::uint32_t inTransferBytes = 0;
-        double inMegaTransfersPerSec = 0.0;
-        double inCpuMhz = 0.0;
-        bool inEccEnabled = false;
-        Cycle inEccOverhead = 0;
-        bool valid = false;
-
-        bool
-        matches(const DramConfig &c) const
-        {
-            return valid && inLineBytes == c.lineBytes &&
-                   inGangDegree == c.gangDegree &&
-                   inTransferBytes == c.timing.transferBytes &&
-                   inMegaTransfersPerSec ==
-                       c.timing.megaTransfersPerSec &&
-                   inCpuMhz == c.timing.cpuMhz &&
-                   inEccEnabled == c.ecc.enabled &&
-                   inEccOverhead == c.ecc.checkOverheadCycles;
-        }
-    };
-
-    mutable DerivedTiming derived_;
-
-    const DerivedTiming &
-    derivedTiming() const
-    {
-        if (!derived_.matches(*this)) {
-            derived_.lineTransfer =
-                timing.transferCycles(lineBytes, gangDegree);
-            derived_.burst =
-                derived_.lineTransfer +
-                (ecc.enabled ? ecc.checkOverheadCycles : 0);
-            derived_.inLineBytes = lineBytes;
-            derived_.inGangDegree = gangDegree;
-            derived_.inTransferBytes = timing.transferBytes;
-            derived_.inMegaTransfersPerSec =
-                timing.megaTransfersPerSec;
-            derived_.inCpuMhz = timing.cpuMhz;
-            derived_.inEccEnabled = ecc.enabled;
-            derived_.inEccOverhead = ecc.checkOverheadCycles;
-            derived_.valid = true;
-        }
-        return derived_;
-    }
 };
 
 } // namespace smtdram

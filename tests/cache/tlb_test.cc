@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
+#include <utility>
+
 #include "cache/tlb.hh"
+#include "common/random.hh"
 
 namespace smtdram
 {
@@ -97,6 +102,71 @@ TEST(Tlb, ResetStats)
     tlb.resetStats();
     EXPECT_EQ(tlb.stats().total(), 0u);
 }
+
+/**
+ * Reference true-LRU model: a list ordered most- to least-recently
+ * used, searched linearly.  Slow and obviously right.
+ */
+class ReferenceLru
+{
+  public:
+    explicit ReferenceLru(std::size_t entries) : entries_(entries) {}
+
+    /** @return true on a hit. */
+    bool
+    lookup(ThreadId tid, Addr vpage)
+    {
+        const std::pair<ThreadId, Addr> k{tid, vpage};
+        const auto it = std::find(lru_.begin(), lru_.end(), k);
+        if (it != lru_.end()) {
+            lru_.splice(lru_.begin(), lru_, it);
+            return true;
+        }
+        lru_.push_front(k);
+        if (lru_.size() > entries_)
+            lru_.pop_back();
+        return false;
+    }
+
+  private:
+    std::size_t entries_;
+    std::list<std::pair<ThreadId, Addr>> lru_;
+};
+
+class TlbDifferential : public testing::TestWithParam<std::uint32_t>
+{
+};
+
+TEST_P(TlbDifferential, MatchesReferenceLru)
+{
+    const std::uint32_t entries = GetParam();
+    Tlb tlb(entries, 30);
+    ReferenceLru ref(entries);
+    Rng rng(entries * 7919 + 1);
+    // Four threads whose pages together number about 1.5x the
+    // capacity, half the lookups on a hot quarter of them, so hits,
+    // misses and evictions all occur; repeats hit the most recent
+    // entry.
+    const std::uint64_t pages = entries * 3 / 8 + 1;
+    ThreadId tid = 0;
+    Addr vpage = 0;
+    for (int i = 0; i < 200'000; ++i) {
+        if (!rng.chance(0.2)) {
+            tid = static_cast<ThreadId>(rng.below(4));
+            vpage = rng.chance(0.5) ? rng.below(pages / 4 + 1)
+                                    : rng.below(pages);
+        }
+        const bool hit = ref.lookup(tid, vpage);
+        ASSERT_EQ(tlb.lookup(tid, vpage), hit ? 0u : 30u)
+            << "lookup " << i << " (thread " << tid << ", vpage "
+            << vpage << ")";
+    }
+    EXPECT_GT(tlb.stats().hits(), 0u);
+    EXPECT_GT(tlb.stats().misses(), entries);
+}
+
+INSTANTIATE_TEST_SUITE_P(Capacities, TlbDifferential,
+                         testing::Values(2u, 128u));
 
 } // namespace
 } // namespace smtdram

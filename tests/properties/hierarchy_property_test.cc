@@ -73,19 +73,26 @@ TEST_P(HierarchyProperty, StormCompletesAndCountersDrain)
     DramSystem dram(DramConfig::ddrSdram(2), SchedulerKind::HitFirst);
     Hierarchy h(config, dram, events, param.threads);
 
-    std::set<std::uint64_t> pending;
-    std::set<std::uint64_t> completed;
-    h.setMissCallback([&](std::uint64_t id, Cycle /* when */) {
-        // Exactly-once completion of a known miss.
-        ASSERT_TRUE(pending.count(id)) << "unknown miss " << id;
-        ASSERT_TRUE(completed.insert(id).second)
-            << "double completion of " << id;
-        pending.erase(id);
+    // Every access gets a unique sequence number; a pending miss
+    // maps it to the waiter the completion must name.
+    std::map<InstSeq, std::pair<ThreadId, AccessKind>> pending;
+    std::set<InstSeq> completed;
+    h.setMissCallback([&](ThreadId tid, InstSeq seq, AccessKind kind,
+                          Cycle /* when */) {
+        // Exactly-once completion of a known miss, naming its waiter.
+        const auto it = pending.find(seq);
+        ASSERT_TRUE(it != pending.end()) << "unknown miss " << seq;
+        EXPECT_EQ(it->second.first, tid) << seq;
+        EXPECT_EQ(it->second.second, kind) << seq;
+        ASSERT_TRUE(completed.insert(seq).second)
+            << "double completion of " << seq;
+        pending.erase(it);
     });
 
     Rng rng(555);
     Cycle now = 0;
     int issued = 0;
+    InstSeq next_seq = 1;
     constexpr int kAccesses = 3000;
 
     while (issued < kAccesses || !pending.empty()) {
@@ -110,9 +117,11 @@ TEST_P(HierarchyProperty, StormCompletesAndCountersDrain)
                 rng.chance(0.5)
                     ? rng.below(1 << 14)
                     : (1 << 26) + rng.below(1ULL << 24);
-            const AccessResult r = h.access(kind, tid, vaddr, now);
+            const InstSeq seq = next_seq++;
+            const AccessResult r = h.access(kind, tid, seq, vaddr, now);
             if (r.status == AccessResult::Status::Pending) {
-                ASSERT_TRUE(pending.insert(r.missId).second);
+                ASSERT_TRUE(
+                    pending.emplace(seq, std::make_pair(tid, kind)).second);
             }
             if (r.status != AccessResult::Status::Blocked)
                 ++issued;
@@ -165,9 +174,11 @@ TEST_P(HierarchyProperty, DeterministicStorm)
                         SchedulerKind::HitFirst);
         Hierarchy h(config, dram, events, param.threads);
         std::uint64_t checksum = 0;
-        h.setMissCallback([&](std::uint64_t id, Cycle when) {
-            checksum = checksum * 1099511628211ULL + id * 31 + when;
-        });
+        h.setMissCallback(
+            [&](ThreadId, InstSeq seq, AccessKind, Cycle when) {
+                checksum =
+                    checksum * 1099511628211ULL + seq * 31 + when;
+            });
         Rng rng(99);
         for (Cycle now = 1; now <= 20000; ++now) {
             events.runUntil(now);
@@ -176,7 +187,7 @@ TEST_P(HierarchyProperty, DeterministicStorm)
             if (rng.chance(0.4)) {
                 const auto tid =
                     static_cast<ThreadId>(rng.below(param.threads));
-                h.access(AccessKind::Load, tid,
+                h.access(AccessKind::Load, tid, now,
                          rng.below(1ULL << 24), now);
             }
         }
