@@ -43,8 +43,8 @@ declareCommonFlags(Flags &flags)
  * Apply --kernel by exporting the process-wide SMTDRAM_KERNEL
  * override before the first SmtSystem is built, so every run a bench
  * performs — including the cached alone-IPC baselines — uses the
- * same kernel.  Called from contextFromFlags/paramsFromFlags, which
- * every simulating bench funnels through.
+ * same kernel.  Called from paramsFromFlags, which every simulating
+ * bench funnels through.
  */
 inline void
 applyKernelFlag(const Flags &flags)
@@ -227,7 +227,7 @@ observabilityFromFlags(const Flags &flags)
  * Apply the observability flags.  When a bench runs several
  * configurations, the trace/stats paths are overwritten by each run;
  * the files left behind describe the last mix executed (baseline
- * alone-IPC runs never write — see ExperimentContext::aloneIpcOn).
+ * alone-IPC runs never write — see simulateAloneIpc).
  */
 inline void
 applyObservabilityFlags(const Flags &flags, SystemConfig &config)
@@ -271,21 +271,10 @@ applyRobustnessFlags(const Flags &flags, SystemConfig &config)
     }
 }
 
-/** Build the experiment context from the parsed common flags. */
-inline ExperimentContext
-contextFromFlags(const Flags &flags)
-{
-    applyKernelFlag(flags);
-    return ExperimentContext(
-        static_cast<std::uint64_t>(flags.getInt("insts")),
-        static_cast<std::uint64_t>(flags.getInt("warmup")),
-        static_cast<std::uint64_t>(flags.getInt("seed")));
-}
-
 /**
  * Declare the parallel-execution flags shared by every sweep bench.
  * --jobs 0 (the default) means "one worker per hardware thread";
- * --jobs 1 is the historical serial path.  Results are byte-identical
+ * --jobs 1 runs every job serially.  Results are byte-identical
  * for every value — see ParallelExperimentRunner.
  */
 inline void

@@ -98,12 +98,12 @@ main(int argc, char **argv)
             std::uint64_t insts = 0;
             for (std::uint64_t c : r.run.committed)
                 insts += c;
-            epi.push_back(insts ? r.totalEnergyNj /
-                                      static_cast<double>(insts)
+            const double energy = r.run.power.totalEnergy;
+            epi.push_back(insts ? energy / static_cast<double>(insts)
                                 : 0.0);
             const double cycles =
                 static_cast<double>(r.run.measuredCycles);
-            ed2p.push_back(r.totalEnergyNj * cycles * cycles);
+            ed2p.push_back(energy * cycles * cycles);
         }
         const double base = ed2p[hit_first_col];
         for (double &v : ed2p)

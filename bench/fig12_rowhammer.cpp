@@ -120,10 +120,11 @@ main(int argc, char **argv)
         std::vector<double> flips, ws, prevrefs, energy;
         for (std::size_t id : row.ids) {
             const MixRun &r = runner.mixResult(id);
-            flips.push_back(static_cast<double>(r.victimFlips));
+            flips.push_back(
+                static_cast<double>(r.run.hammer.victimFlips));
             ws.push_back(r.weightedSpeedup);
             prevrefs.push_back(
-                static_cast<double>(r.preventiveRefreshes));
+                static_cast<double>(r.run.hammer.mitigationsIssued));
             energy.push_back(r.run.power.mitigationEnergy);
         }
         flips_table.addRow(row.name, flips);

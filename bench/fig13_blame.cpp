@@ -11,7 +11,7 @@
  * optionally emits the who-stalled-whom interference matrix as CSV.
  *
  * The per-component shares always sum to 100%: the attribution engine
- * guarantees sum(blame) == readLatency.sum() exactly, which this
+ * guarantees sum(blame) == readLatencyHist.sum() exactly, which this
  * bench re-verifies per run.
  */
 
@@ -90,13 +90,14 @@ runSweep(const Flags &flags, const std::vector<std::string> &mixes,
                 runner.mixResult(id).run.dram;
             BlameCell cell;
             cell.blame = dram.blameTotals;
-            cell.latencySum = dram.readLatency.sum();
+            cell.latencySum =
+                static_cast<double>(dram.readLatencyHist.sum());
             cell.interference = dram.interference;
             cell.threads = static_cast<std::uint32_t>(
                 mixFor(mixes[m]).apps.size());
             fatal_if(static_cast<double>(cell.blame.sum()) !=
                          cell.latencySum,
-                     "blame does not reconcile with readLatency for "
+                     "blame does not reconcile with read latency for "
                      "%s (sum %llu vs %.0f)",
                      mixes[m].c_str(),
                      (unsigned long long)cell.blame.sum(),

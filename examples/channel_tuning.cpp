@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "common/flags.hh"
-#include "sim/experiment.hh"
+#include "sim/parallel_runner.hh"
 
 using namespace smtdram;
 
@@ -30,9 +30,10 @@ main(int argc, char **argv)
                 "and report the best");
 
     const WorkloadMix &mix = mixByName(flags.getString("mix"));
-    ExperimentContext ctx(
-        static_cast<std::uint64_t>(flags.getInt("insts")),
-        static_cast<std::uint64_t>(flags.getInt("warmup")));
+    ParallelExperimentRunner runner(
+        {static_cast<std::uint64_t>(flags.getInt("insts")),
+         static_cast<std::uint64_t>(flags.getInt("warmup"))},
+        1);
 
     struct Org { std::uint32_t channels, gang; };
     const std::vector<Org> orgs = {{2, 1}, {2, 2}, {4, 1}, {4, 2},
@@ -49,12 +50,12 @@ main(int argc, char **argv)
         config.dram = DramConfig::ddrSdram(org.channels, org.gang);
         config.dram.mapping = mapping;
 
-        const MixRun r = ctx.runMix(config, mix);
+        const MixRun r = runner.runMix(config, mix);
         const std::string label = config.dram.label();
         std::printf("  %-6s  ws %6.3f   avg read latency %6.0f cyc   "
                     "row miss %4.1f%%\n",
                     label.c_str(), r.weightedSpeedup,
-                    r.run.dram.readLatency.mean(),
+                    r.run.dram.readLatencyHist.mean(),
                     100.0 * r.run.rowMissRate);
         if (r.weightedSpeedup > best_ws) {
             best_ws = r.weightedSpeedup;

@@ -49,6 +49,6 @@ main()
     std::printf("  row-buffer miss    : %.1f%%\n",
                 100.0 * r.rowMissRate);
     std::printf("  avg read latency   : %.0f cycles\n",
-                r.dram.readLatency.mean());
+                r.dram.readLatencyHist.mean());
     return 0;
 }

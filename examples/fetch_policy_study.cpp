@@ -11,7 +11,7 @@
 #include <cstdio>
 
 #include "common/flags.hh"
-#include "sim/experiment.hh"
+#include "sim/parallel_runner.hh"
 
 using namespace smtdram;
 
@@ -26,9 +26,10 @@ main(int argc, char **argv)
                 "Compare SMT fetch policies on one workload mix");
 
     const WorkloadMix &mix = mixByName(flags.getString("mix"));
-    ExperimentContext ctx(
-        static_cast<std::uint64_t>(flags.getInt("insts")),
-        static_cast<std::uint64_t>(flags.getInt("warmup")));
+    ParallelExperimentRunner runner(
+        {static_cast<std::uint64_t>(flags.getInt("insts")),
+         static_cast<std::uint64_t>(flags.getInt("warmup"))},
+        1);
 
     std::printf("workload %s\n\n", mix.name.c_str());
     std::printf("%-12s %8s %9s %10s %11s %9s\n", "policy", "ws",
@@ -45,7 +46,7 @@ main(int argc, char **argv)
         SystemConfig config = SystemConfig::paperDefault(
             static_cast<std::uint32_t>(mix.apps.size()));
         config.core.fetchPolicy = policy;
-        const MixRun r = ctx.runMix(config, mix);
+        const MixRun r = runner.runMix(config, mix);
         std::printf("%-12s %8.3f %9.2f %9.1f%% %10.1f%% %8.1f%%\n",
                     fetchPolicyName(policy).c_str(),
                     r.weightedSpeedup, r.run.memAccessPer100,

@@ -11,7 +11,7 @@
 #include <cstdio>
 
 #include "common/flags.hh"
-#include "sim/experiment.hh"
+#include "sim/parallel_runner.hh"
 
 using namespace smtdram;
 
@@ -48,13 +48,14 @@ main(int argc, char **argv)
         std::printf("%s%s", i ? ", " : "", mix.apps[i].c_str());
     std::printf(")\n\n");
 
-    ExperimentContext ctx(insts, warmup);
-    const MixRun result = ctx.runMix(config, mix);
+    ParallelExperimentRunner runner({insts, warmup}, 1);
+    const MixRun result = runner.runMix(config, mix);
 
+    const SystemConfig reference = SystemConfig::paperDefault(1);
     for (size_t i = 0; i < mix.apps.size(); ++i) {
         std::printf("  thread %zu %-10s IPC %.3f (alone %.3f)\n", i,
                     mix.apps[i].c_str(), result.run.ipc[i],
-                    ctx.aloneIpc(mix.apps[i]));
+                    runner.aloneIpc(mix.apps[i], reference));
     }
     std::printf("\n  weighted speedup      : %.3f\n",
                 result.weightedSpeedup);
@@ -68,7 +69,7 @@ main(int argc, char **argv)
     std::printf("  row-buffer miss rate  : %.1f%%\n",
                 100.0 * result.run.rowMissRate);
     std::printf("  avg read latency      : %.0f cycles\n",
-                result.run.dram.readLatency.mean());
+                result.run.dram.readLatencyHist.mean());
 
     std::printf("\n  outstanding requests while DRAM busy:\n");
     const Histogram &h = result.run.outstandingHist;

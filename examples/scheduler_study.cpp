@@ -12,7 +12,7 @@
 #include <cstdio>
 
 #include "common/flags.hh"
-#include "sim/experiment.hh"
+#include "sim/parallel_runner.hh"
 
 using namespace smtdram;
 
@@ -27,9 +27,10 @@ main(int argc, char **argv)
                 "Compare DRAM scheduling policies on one workload");
 
     const WorkloadMix &mix = mixByName(flags.getString("mix"));
-    ExperimentContext ctx(
-        static_cast<std::uint64_t>(flags.getInt("insts")),
-        static_cast<std::uint64_t>(flags.getInt("warmup")));
+    ParallelExperimentRunner runner(
+        {static_cast<std::uint64_t>(flags.getInt("insts")),
+         static_cast<std::uint64_t>(flags.getInt("warmup"))},
+        1);
 
     std::printf("workload %s\n\n%-14s %10s %12s  per-thread IPC\n",
                 mix.name.c_str(), "policy", "ws", "read lat");
@@ -37,10 +38,10 @@ main(int argc, char **argv)
         SystemConfig config = SystemConfig::paperDefault(
             static_cast<std::uint32_t>(mix.apps.size()));
         config.scheduler = kind;
-        const MixRun r = ctx.runMix(config, mix);
+        const MixRun r = runner.runMix(config, mix);
         std::printf("%-14s %10.3f %10.0f cy ",
                     schedulerName(kind).c_str(), r.weightedSpeedup,
-                    r.run.dram.readLatency.mean());
+                    r.run.dram.readLatencyHist.mean());
         for (size_t t = 0; t < mix.apps.size(); ++t)
             std::printf(" %s=%.3f", mix.apps[t].c_str(),
                         r.run.ipc[t]);

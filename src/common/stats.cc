@@ -1,5 +1,6 @@
 #include "common/stats.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 

@@ -10,7 +10,6 @@
 #ifndef SMTDRAM_COMMON_STATS_HH
 #define SMTDRAM_COMMON_STATS_HH
 
-#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -18,53 +17,6 @@
 
 namespace smtdram
 {
-
-/** Running scalar distribution: count / sum / min / max / mean. */
-class Distribution
-{
-  public:
-    void
-    sample(double v)
-    {
-        ++count_;
-        sum_ += v;
-        min_ = std::min(min_, v);
-        max_ = std::max(max_, v);
-    }
-
-    void
-    reset()
-    {
-        *this = Distribution();
-    }
-
-    std::uint64_t count() const { return count_; }
-    double sum() const { return sum_; }
-    double min() const { return count_ ? min_ : 0.0; }
-    double max() const { return count_ ? max_ : 0.0; }
-    double mean() const { return count_ ? sum_ / count_ : 0.0; }
-
-    friend Distribution mergeDistributions(const Distribution &a,
-                                           const Distribution &b);
-
-  private:
-    std::uint64_t count_ = 0;
-    double sum_ = 0.0;
-    double min_ = std::numeric_limits<double>::infinity();
-    double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/** Exact union of two running distributions. */
-inline Distribution
-mergeDistributions(const Distribution &a, const Distribution &b)
-{
-    Distribution m;
-    m.count_ = a.count_ + b.count_;
-    m.sum_ = a.sum_ + b.sum_;
-    m.min_ = std::min(a.min_, b.min_);
-    m.max_ = std::max(a.max_, b.max_);
-    return m;
-}
 
 /**
  * Histogram over explicit integer bucket upper bounds.
@@ -140,6 +92,7 @@ class LogHistogram
     std::uint64_t total() const { return total_; }
     std::uint64_t min() const { return total_ ? min_ : 0; }
     std::uint64_t max() const { return total_ ? max_ : 0; }
+    std::uint64_t sum() const { return sum_; }
     double mean() const
     {
         return total_ ? static_cast<double>(sum_) / total_ : 0.0;

@@ -622,14 +622,12 @@ MemoryController::launch(ReqHandle handle, Cycle now)
         ++stats_.scrubReads;
     } else if (req.op == MemOp::Read) {
         ++stats_.reads;
-        stats_.readQueueing.sample(static_cast<double>(now - req.arrival));
-        stats_.readLatency.sample(
-            static_cast<double>(req.completion - req.arrival));
+        stats_.readQueueing.sample(now - req.arrival);
         stats_.readLatencyHist.sample(req.completion - req.arrival);
-        // Sampled in lockstep with readLatency, whose sample equals
-        // req.blame.sum() here, so Σ blameTotals == readLatency.sum()
-        // reconciles exactly — retried attempts and run-end boundary
-        // requests included.
+        // Sampled in lockstep with readLatencyHist, whose sample
+        // equals req.blame.sum() here, so Σ blameTotals ==
+        // readLatencyHist.sum() reconciles exactly — retried attempts
+        // and run-end boundary requests included.
         stats_.blameTotals.merge(req.blame);
         for (std::size_t c = 0; c < kNumBlameComponents; ++c)
             stats_.blameHist[c].sample(req.blame.cycles[c]);

@@ -57,8 +57,6 @@ struct ControllerStats {
     std::uint64_t rowHits = 0;
     std::uint64_t rowEmpty = 0;     ///< bank idle (precharged) accesses
     std::uint64_t rowConflicts = 0; ///< open row had to be precharged
-    Distribution readLatency;       ///< arrival to data return, cycles
-    Distribution readQueueing;      ///< arrival to issue, cycles
     std::uint64_t busBusyCycles = 0;
     std::uint64_t refreshes = 0;    ///< per-bank refresh commands issued
     /** Cycles banks spent unavailable inside refresh (tRFC each). */
@@ -81,10 +79,13 @@ struct ControllerStats {
     /** Extra data-bus cycles spent moving SECDED check bits. */
     std::uint64_t eccCheckCycles = 0;
 
-    // --- Distribution views (Figures 4-10 are distribution claims;
-    //     count/sum/min/max alone cannot answer them) ---
+    // --- Latency and occupancy histograms (Figures 4-10 are
+    //     distribution claims; count/sum/min/max alone cannot answer
+    //     them) ---
     /** Read latency (arrival to data return) with percentiles. */
     LogHistogram readLatencyHist;
+    /** Read queueing delay (arrival to issue). */
+    LogHistogram readQueueing;
     /** Read-queue depth observed at each enqueue. */
     LogHistogram queueDepthHist;
     /** Consecutive row-buffer hits per bank before a miss ends the
@@ -94,8 +95,8 @@ struct ControllerStats {
     // --- Latency blame attribution (see blame.hh) ---
     /**
      * Per-component cycle totals over demand reads, accumulated at
-     * launch in lockstep with readLatency so
-     * blameTotals.sum() == readLatency.sum() exactly, including
+     * launch in lockstep with readLatencyHist so
+     * blameTotals.sum() == readLatencyHist.sum() exactly, including
      * retried attempts and requests still in flight at run end.
      */
     LatencyBlame blameTotals;
@@ -131,6 +132,7 @@ struct ControllerStats {
         uncorrectableErrors += o.uncorrectableErrors;
         eccCheckCycles += o.eccCheckCycles;
         readLatencyHist.merge(o.readLatencyHist);
+        readQueueing.merge(o.readQueueing);
         queueDepthHist.merge(o.queueDepthHist);
         rowHitRunHist.merge(o.rowHitRunHist);
         blameTotals.merge(o.blameTotals);
@@ -141,11 +143,6 @@ struct ControllerStats {
         for (std::size_t t = 0; t < o.perThreadBlame.size(); ++t)
             perThreadBlame[t].merge(o.perThreadBlame[t]);
         interference.merge(o.interference);
-        if (o.readLatency.count() > 0) {
-            readLatency = mergeDistributions(readLatency, o.readLatency);
-            readQueueing =
-                mergeDistributions(readQueueing, o.readQueueing);
-        }
     }
 
     /** Paper's row-buffer miss rate: misses / all accesses. */
@@ -322,23 +319,6 @@ class MemoryController
      * watchdog/checker diagnostics on a stuck simulation.
      */
     void dumpState(std::ostream &os) const;
-
-    /** Visit every queued or in-flight request (for samplers). */
-    template <typename Fn>
-    void
-    forEachRequest(Fn &&fn) const
-    {
-        for (const QueuedRef &q : readQueue_)
-            fn(pool_.at(q.h));
-        for (const QueuedRef &q : writeQueue_)
-            fn(pool_.at(q.h));
-        for (const QueuedRef &q : scrubQueue_)
-            fn(pool_.at(q.h));
-        for (const QueuedRef &q : mitigationQueue_)
-            fn(pool_.at(q.h));
-        for (const InFlightRef &f : inFlight_)
-            fn(pool_.at(f.h));
-    }
 
     /** The precomputed command-timing table (tests assert identities
      *  against the raw config arithmetic). */

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "common/logging.hh"
 #include "sim/smt_system.hh"
 #include "workload/hammer_workload.hh"
 
@@ -33,15 +32,6 @@ profilesForMix(const WorkloadMix &mix)
             apps.push_back(specProfile(name));
     }
     return apps;
-}
-
-ExperimentContext::ExperimentContext(std::uint64_t measure_insts,
-                                     std::uint64_t warmup_insts,
-                                     std::uint64_t seed)
-    : measureInsts_(measure_insts),
-      warmupInsts_(warmup_insts),
-      seed_(seed)
-{
 }
 
 std::string
@@ -177,80 +167,6 @@ simulateAloneIpc(const std::string &app, const SystemConfig &config,
                                   params.measureInsts,
                                   params.warmupInsts);
     return r.ipc.at(0);
-}
-
-MixRun
-simulateMixRun(const SystemConfig &config, const WorkloadMix &mix,
-               const ExperimentParams &params)
-{
-    fatal_if(config.core.numThreads != mix.apps.size(),
-             "config has %u threads but mix '%s' has %zu apps",
-             config.core.numThreads, mix.name.c_str(),
-             mix.apps.size());
-
-    MixRun out;
-    out.run = runSystem(config, profilesForMix(mix), params.seed,
-                        params.measureInsts, params.warmupInsts);
-    out.correctedErrors = out.run.dram.correctedErrors;
-    out.uncorrectableErrors = out.run.dram.uncorrectableErrors;
-    out.scrubReads = out.run.dram.scrubReads;
-    out.retriesExhausted = out.run.dram.retriesExhausted;
-    if (out.run.dram.readLatencyHist.total() > 0) {
-        out.readLatencyP50 = static_cast<std::uint64_t>(
-            out.run.dram.readLatencyHist.p50());
-        out.readLatencyP99 = static_cast<std::uint64_t>(
-            out.run.dram.readLatencyHist.p99());
-    }
-    out.victimFlips = out.run.hammer.victimFlips;
-    out.preventiveRefreshes = out.run.hammer.mitigationsIssued;
-    out.totalEnergyNj = out.run.power.totalEnergy;
-    out.avgPowerMw = out.run.power.averagePowerMw(
-        config.dram.timing.cpuMhz, out.run.measuredCycles);
-    return out;
-}
-
-double
-ExperimentContext::aloneIpc(const std::string &app)
-{
-    return aloneIpcOn(app, SystemConfig::paperDefault(1));
-}
-
-double
-ExperimentContext::aloneIpcOn(const std::string &app,
-                              const SystemConfig &config)
-{
-    const std::string key = app + "@" + configSignature(config);
-    auto it = aloneIpc_.find(key);
-    if (it != aloneIpc_.end())
-        return it->second;
-
-    const double ipc = simulateAloneIpc(app, config, params());
-    aloneIpc_.emplace(key, ipc);
-    return ipc;
-}
-
-MixRun
-ExperimentContext::runMix(const SystemConfig &config,
-                          const WorkloadMix &mix,
-                          bool per_config_baselines)
-{
-    MixRun out = simulateMixRun(config, mix, params());
-    for (size_t i = 0; i < mix.apps.size(); ++i) {
-        const double alone =
-            per_config_baselines ? aloneIpcOn(mix.apps[i], config)
-                                 : aloneIpc(mix.apps[i]);
-        out.weightedSpeedup += out.run.ipc[i] / alone;
-    }
-    return out;
-}
-
-MixRun
-ExperimentContext::runMix(const std::string &mix_name)
-{
-    const WorkloadMix &mix = mixByName(mix_name);
-    const SystemConfig config = SystemConfig::paperDefault(
-        static_cast<std::uint32_t>(mix.apps.size()));
-    return runMix(config, mix);
 }
 
 CpiBreakdown

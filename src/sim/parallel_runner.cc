@@ -75,32 +75,33 @@ ParallelExperimentRunner::aloneIpc(const std::string &app,
     return fut.get();
 }
 
-void
-ParallelExperimentRunner::runMixJob(Job &job)
+MixRun
+ParallelExperimentRunner::runMix(const SystemConfig &config,
+                                 const WorkloadMix &mix,
+                                 bool per_config_baselines)
 {
-    // The serial path reports this mismatch via fatal_if() inside
-    // simulateMixRun(); checking first here turns it into an
-    // exception so one malformed cell fails the sweep cleanly (and
-    // deterministically: run() rethrows by submission index) instead
-    // of killing the process from a worker thread.
-    if (job.config.core.numThreads != job.mix.apps.size()) {
+    // An exception rather than fatal(): one malformed cell fails the
+    // sweep cleanly (and deterministically: run() rethrows by
+    // submission index) instead of killing the process from a worker
+    // thread.
+    if (config.core.numThreads != mix.apps.size()) {
         throw std::invalid_argument(
-            "config has " +
-            std::to_string(job.config.core.numThreads) +
-            " threads but mix '" + job.mix.name + "' has " +
-            std::to_string(job.mix.apps.size()) + " apps");
+            "config has " + std::to_string(config.core.numThreads) +
+            " threads but mix '" + mix.name + "' has " +
+            std::to_string(mix.apps.size()) + " apps");
     }
 
-    MixRun out = simulateMixRun(job.config, job.mix, params_);
+    MixRun out;
+    out.run = runSystem(config, profilesForMix(mix), params_.seed,
+                        params_.measureInsts, params_.warmupInsts);
     const SystemConfig reference = SystemConfig::paperDefault(1);
-    for (size_t i = 0; i < job.mix.apps.size(); ++i) {
-        const double alone =
-            job.perConfigBaselines
-                ? aloneIpc(job.mix.apps[i], job.config)
-                : aloneIpc(job.mix.apps[i], reference);
-        out.weightedSpeedup += out.run.ipc[i] / alone;
+    for (size_t i = 0; i < mix.apps.size(); ++i) {
+        out.weightedSpeedup +=
+            out.run.ipc[i] /
+            aloneIpc(mix.apps[i],
+                     per_config_baselines ? config : reference);
     }
-    job.mixResult = std::move(out);
+    return out;
 }
 
 void
@@ -108,7 +109,8 @@ ParallelExperimentRunner::execute(Job &job)
 {
     try {
         if (job.kind == Job::Kind::Mix) {
-            runMixJob(job);
+            job.mixResult =
+                runMix(job.config, job.mix, job.perConfigBaselines);
         } else {
             job.cpiResult = measureCpiBreakdown(
                 job.app, params_.measureInsts, params_.warmupInsts,
@@ -128,7 +130,7 @@ ParallelExperimentRunner::run()
     firstPending_ = end;
 
     if (jobs_ <= 1) {
-        // The historical serial path: no threads, submission order.
+        // Serial: no threads, submission order.
         for (std::size_t i = begin; i < end; ++i)
             execute(*jobs_queue_[i]);
     } else {

@@ -23,8 +23,9 @@
  *    worker failed first on the wall clock.
  *
  * With jobs == 1 no threads are created at all: run() executes
- * everything inline in submission order — exactly the historical
- * serial path.
+ * everything inline in submission order.  runMix() runs one cell on
+ * the calling thread against the same baseline memo, for callers
+ * that want one result at a time.
  */
 
 #ifndef SMTDRAM_SIM_PARALLEL_RUNNER_HH
@@ -45,7 +46,10 @@
 namespace smtdram
 {
 
-/** Executes independent experiment jobs on a worker pool. */
+/**
+ * The experiment driver: executes independent experiment jobs on a
+ * worker pool, or one at a time on the calling thread.
+ */
 class ParallelExperimentRunner
 {
   public:
@@ -62,7 +66,27 @@ class ParallelExperimentRunner
     operator=(const ParallelExperimentRunner &) = delete;
 
     /**
-     * Queue one mix run (see ExperimentContext::runMix).
+     * Run @p mix on @p config on the calling thread and compute its
+     * weighted speedup against the memoized alone-IPC baselines.
+     * Throws std::invalid_argument if the config's thread count does
+     * not match the mix.
+     * @param per_config_baselines divide by each application's
+     *        single-thread IPC on this same configuration (as in the
+     *        paper's Figure 3) instead of the reference machine,
+     *        SystemConfig::paperDefault(1).
+     */
+    MixRun runMix(const SystemConfig &config, const WorkloadMix &mix,
+                  bool per_config_baselines = false);
+
+    /**
+     * Single-thread IPC of @p app on @p config's memory system,
+     * memoized by app@configSignature; computed inline on the first
+     * request.  Thread-safe.
+     */
+    double aloneIpc(const std::string &app, const SystemConfig &config);
+
+    /**
+     * Queue one runMix() call.
      * @return the job's index; pass it to mixResult() after run().
      */
     std::size_t submitMix(const SystemConfig &config,
@@ -93,8 +117,9 @@ class ParallelExperimentRunner
 
     /**
      * Alone-IPC simulations actually executed (not memo hits).  The
-     * dedup guarantee in one number: after any run(), this equals
-     * the count of distinct (app, baseline-signature) keys needed.
+     * dedup guarantee in one number: after any run() or runMix(),
+     * this equals the count of distinct (app, baseline-signature)
+     * keys needed.
      */
     std::size_t
     baselineSimulations() const
@@ -120,10 +145,6 @@ class ParallelExperimentRunner
     };
 
     void execute(Job &job);
-    void runMixJob(Job &job);
-
-    /** Memoized alone IPC; computes inline on first request. */
-    double aloneIpc(const std::string &app, const SystemConfig &config);
 
     ExperimentParams params_;
     unsigned jobs_;

@@ -519,7 +519,7 @@ SmtSystem::registerStats()
                           {{"mitigation_cycles", &H::mitigationCycles}});
     }
 
-    // Distribution views.
+    // Histograms.
     for (const auto &[key, hist] :
          {std::pair{"dram.read_latency", &C::readLatencyHist},
           {"dram.read_queue_depth", &C::queueDepthHist},

@@ -9,60 +9,6 @@ namespace smtdram
 namespace
 {
 
-TEST(Distribution, EmptyIsZero)
-{
-    Distribution d;
-    EXPECT_EQ(d.count(), 0u);
-    EXPECT_DOUBLE_EQ(d.mean(), 0.0);
-    EXPECT_DOUBLE_EQ(d.min(), 0.0);
-    EXPECT_DOUBLE_EQ(d.max(), 0.0);
-}
-
-TEST(Distribution, TracksMoments)
-{
-    Distribution d;
-    d.sample(2.0);
-    d.sample(4.0);
-    d.sample(9.0);
-    EXPECT_EQ(d.count(), 3u);
-    EXPECT_DOUBLE_EQ(d.sum(), 15.0);
-    EXPECT_DOUBLE_EQ(d.mean(), 5.0);
-    EXPECT_DOUBLE_EQ(d.min(), 2.0);
-    EXPECT_DOUBLE_EQ(d.max(), 9.0);
-}
-
-TEST(Distribution, ResetClears)
-{
-    Distribution d;
-    d.sample(1.0);
-    d.reset();
-    EXPECT_EQ(d.count(), 0u);
-    EXPECT_DOUBLE_EQ(d.mean(), 0.0);
-}
-
-TEST(Distribution, MergeCombinesExactly)
-{
-    Distribution a, b;
-    a.sample(1.0);
-    a.sample(3.0);
-    b.sample(10.0);
-    Distribution m = mergeDistributions(a, b);
-    EXPECT_EQ(m.count(), 3u);
-    EXPECT_DOUBLE_EQ(m.sum(), 14.0);
-    EXPECT_DOUBLE_EQ(m.min(), 1.0);
-    EXPECT_DOUBLE_EQ(m.max(), 10.0);
-}
-
-TEST(Distribution, MergeWithEmptyIsIdentity)
-{
-    Distribution a, empty;
-    a.sample(5.0);
-    Distribution m = mergeDistributions(a, empty);
-    EXPECT_EQ(m.count(), 1u);
-    EXPECT_DOUBLE_EQ(m.min(), 5.0);
-    EXPECT_DOUBLE_EQ(m.max(), 5.0);
-}
-
 TEST(Histogram, PaperFigure4Buckets)
 {
     // Bounds {1,4,8,16}: buckets [0,1], [2,4], [5,8], [9,16], >16.
@@ -171,6 +117,7 @@ TEST(LogHistogram, EmptyIsZero)
 {
     LogHistogram h;
     EXPECT_EQ(h.total(), 0u);
+    EXPECT_EQ(h.sum(), 0u);
     EXPECT_EQ(h.min(), 0u);
     EXPECT_EQ(h.max(), 0u);
     EXPECT_DOUBLE_EQ(h.mean(), 0.0);
@@ -192,6 +139,23 @@ TEST(LogHistogram, SmallValuesAreExact)
     EXPECT_DOUBLE_EQ(h.p50(), 5.0);
     EXPECT_DOUBLE_EQ(h.p90(), 9.0);
     EXPECT_DOUBLE_EQ(h.percentile(100.0), 10.0);
+}
+
+TEST(LogHistogram, TracksMoments)
+{
+    // sum() is exact at any magnitude, so totals such as the blame
+    // reconciliation can be compared with ==.
+    LogHistogram h;
+    h.sample(2);
+    h.sample(4);
+    h.sample(900);
+    h.sample(std::uint64_t{1} << 40);
+    EXPECT_EQ(h.total(), 4u);
+    EXPECT_EQ(h.sum(), 906u + (std::uint64_t{1} << 40));
+    EXPECT_EQ(h.min(), 2u);
+    EXPECT_EQ(h.max(), std::uint64_t{1} << 40);
+    EXPECT_DOUBLE_EQ(h.mean(),
+                     static_cast<double>(h.sum()) / 4.0);
 }
 
 TEST(LogHistogram, BucketIndexRoundTrips)
@@ -253,6 +217,7 @@ TEST(LogHistogram, MergeMatchesCombinedSampling)
     }
     a.merge(b);
     EXPECT_EQ(a.total(), both.total());
+    EXPECT_EQ(a.sum(), both.sum());
     EXPECT_EQ(a.min(), both.min());
     EXPECT_EQ(a.max(), both.max());
     EXPECT_DOUBLE_EQ(a.mean(), both.mean());
@@ -269,6 +234,7 @@ TEST(LogHistogram, MergeWithEmptyIsIdentity)
     a.sample(500);
     a.merge(empty);
     EXPECT_EQ(a.total(), 2u);
+    EXPECT_EQ(a.sum(), 505u);
     EXPECT_EQ(a.min(), 5u);
     EXPECT_EQ(a.max(), 500u);
 
@@ -361,6 +327,8 @@ TEST(LogHistogram, ResetClears)
     h.sample(42);
     h.reset();
     EXPECT_EQ(h.total(), 0u);
+    EXPECT_EQ(h.sum(), 0u);
+    EXPECT_DOUBLE_EQ(h.mean(), 0.0);
     EXPECT_DOUBLE_EQ(h.p50(), 0.0);
 }
 

@@ -106,7 +106,7 @@ TEST(DramSystem, AggregateStatsSumChannels)
     EXPECT_EQ(agg.reads,
               sys.channelStats(0).reads + sys.channelStats(1).reads);
     EXPECT_EQ(agg.rowHits + agg.rowEmpty + agg.rowConflicts, 8u);
-    EXPECT_EQ(agg.readLatency.count(), 8u);
+    EXPECT_EQ(agg.readLatencyHist.total(), 8u);
 }
 
 TEST(DramSystem, ResetStatsClearsCounters)

@@ -26,7 +26,7 @@
 #include <string>
 
 #include "cpu/fetch_policy.hh"
-#include "sim/experiment.hh"
+#include "sim/parallel_runner.hh"
 
 namespace smtdram
 {
@@ -40,10 +40,10 @@ constexpr std::uint64_t kWarmup = 1'000;
 constexpr std::uint64_t kSeed = 42;
 
 /** Shared across tests so single-thread baselines are computed once. */
-ExperimentContext &
-ctx()
+ParallelExperimentRunner &
+runner()
 {
-    static ExperimentContext shared(kInsts, kWarmup, kSeed);
+    static ParallelExperimentRunner shared({kInsts, kWarmup, kSeed}, 1);
     return shared;
 }
 
@@ -117,7 +117,7 @@ TEST(GoldenFigures, Fig2FetchPolicies)
             static_cast<std::uint32_t>(mix.apps.size()));
         config.core.fetchPolicy = policy;
         appendRun(text, "2-MIX." + fetchPolicyName(policy),
-                  ctx().runMix(config, mix));
+                  runner().runMix(config, mix));
     }
     checkGolden("fig2_fetch_policies", text);
 }
@@ -130,11 +130,11 @@ TEST(GoldenFigures, Fig3DramPerformanceLoss)
 
     SystemConfig ref = SystemConfig::paperDefault(threads);
     ref.core.fetchPolicy = FetchPolicyKind::Icount;
-    const MixRun inf = ctx().runMix(ref.withInfiniteL3(), mix);
+    const MixRun inf = runner().runMix(ref.withInfiniteL3(), mix);
 
     SystemConfig dwarn = SystemConfig::paperDefault(threads);
     dwarn.core.fetchPolicy = FetchPolicyKind::DWarn;
-    const MixRun dw = ctx().runMix(dwarn, mix);
+    const MixRun dw = runner().runMix(dwarn, mix);
 
     std::string text;
     appendRun(text, "2-MEM.infL3-ICOUNT", inf);
@@ -148,7 +148,8 @@ TEST(GoldenFigures, Fig3DramPerformanceLoss)
 
 TEST(GoldenFigures, Fig4Fig5ConcurrencyHistograms)
 {
-    const MixRun r = ctx().runMix("4-MEM");
+    const MixRun r = runner().runMix(SystemConfig::paperDefault(4),
+                                     mixByName("4-MEM"));
     std::string text;
     const Histogram &outstanding = r.run.outstandingHist;
     for (size_t b = 0; b < outstanding.numBuckets(); ++b) {
@@ -179,7 +180,7 @@ TEST(GoldenFigures, Fig6Channels)
         config.dram.mapping = mapping;
         appendRun(text,
                   "2-MEM." + std::to_string(channels) + "ch",
-                  ctx().runMix(config, mix));
+                  runner().runMix(config, mix));
     }
     checkGolden("fig6_channels", text);
 }
@@ -202,7 +203,7 @@ TEST(GoldenFigures, Fig7ChannelGanging)
         const std::string label = "2-MEM." +
                                   std::to_string(o.channels) + "C-" +
                                   std::to_string(o.gang) + "G";
-        appendRun(text, label, ctx().runMix(config, mix));
+        appendRun(text, label, runner().runMix(config, mix));
     }
     checkGolden("fig7_channel_ganging", text);
 }
@@ -220,7 +221,7 @@ TEST(GoldenFigures, Fig8MappingDdr)
         const std::string label =
             scheme == MappingScheme::XorPermute ? "2-MEM.xor"
                                                 : "2-MEM.page";
-        appendRun(text, label, ctx().runMix(config, mix));
+        appendRun(text, label, runner().runMix(config, mix));
     }
     checkGolden("fig8_mapping_ddr", text);
 }
@@ -239,7 +240,7 @@ TEST(GoldenFigures, Fig9MappingRdram)
         const std::string label =
             scheme == MappingScheme::XorPermute ? "2-MEM.rdram-xor"
                                                 : "2-MEM.rdram-page";
-        appendRun(text, label, ctx().runMix(config, mix));
+        appendRun(text, label, runner().runMix(config, mix));
     }
     checkGolden("fig9_mapping_rdram", text);
 }
@@ -285,7 +286,7 @@ TEST(GoldenFigures, AblationDesignChoices)
             v.tweak(config);
             appendRun(text,
                       std::string(mix_name) + "." + v.label,
-                      ctx().runMix(config, mix));
+                      runner().runMix(config, mix));
         }
     }
     checkGolden("ablation_design_choices", text);
@@ -301,7 +302,7 @@ TEST(GoldenFigures, Fig10Schedulers)
         SystemConfig config = SystemConfig::paperDefault(threads);
         config.scheduler = scheduler;
         appendRun(text, "2-MEM." + schedulerName(scheduler),
-                  ctx().runMix(config, mix));
+                  runner().runMix(config, mix));
     }
     checkGolden("fig10_schedulers", text);
 }
@@ -329,13 +330,13 @@ TEST(GoldenFigures, Fig11Energy)
                                       std::to_string(channels) +
                                       "ch." +
                                       schedulerName(scheduler);
-            const MixRun r = ctx().runMix(config, mix);
+            const MixRun r = runner().runMix(config, mix);
             appendRun(text, label, r);
             std::uint64_t insts = 0;
             for (std::uint64_t c : r.run.committed)
                 insts += c;
             appendMetric(text, label + ".energy_per_inst_nj",
-                         insts ? r.totalEnergyNj /
+                         insts ? r.run.power.totalEnergy /
                                      static_cast<double>(insts)
                                : 0.0);
         }
@@ -349,7 +350,7 @@ TEST(GoldenFigures, Fig13Blame)
     // into the eleven conservation-checked blame components, for all
     // seven schedulers across 1/2/4-thread memory-bound mixes, plus
     // the inter-thread interference row sums.  The reconcile metric
-    // pins sum(blame) == readLatency.sum() exactly (always 0).
+    // pins sum(blame) == readLatencyHist.sum() exactly (always 0).
     static const WorkloadMix kOneMem{"1-MEM", {"mcf"}};
     const WorkloadMix *mixes[] = {&kOneMem, &mixByName("2-MEM"),
                                   &mixByName("4-MEM")};
@@ -362,9 +363,10 @@ TEST(GoldenFigures, Fig13Blame)
             config.scheduler = scheduler;
             const std::string label =
                 mix->name + "." + schedulerName(scheduler);
-            const MixRun r = ctx().runMix(config, *mix);
+            const MixRun r = runner().runMix(config, *mix);
             const ControllerStats &dram = r.run.dram;
-            const double lat_sum = dram.readLatency.sum();
+            const double lat_sum =
+                static_cast<double>(dram.readLatencyHist.sum());
             for (std::size_t c = 0; c < kNumBlameComponents; ++c) {
                 const auto comp = static_cast<BlameComponent>(c);
                 appendMetric(
@@ -409,9 +411,9 @@ TEST(GoldenFigures, Fig14Numa)
         return config;
     };
     const MixRun rr =
-        ctx().runMix(numa_config(PlacementPolicy::RoundRobin), kMix);
+        runner().runMix(numa_config(PlacementPolicy::RoundRobin), kMix);
     const MixRun aware =
-        ctx().runMix(numa_config(PlacementPolicy::MemoryAware), kMix);
+        runner().runMix(numa_config(PlacementPolicy::MemoryAware), kMix);
 
     std::string text;
     for (const auto &[label, r] :

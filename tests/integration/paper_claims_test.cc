@@ -9,19 +9,19 @@
 
 #include <algorithm>
 
-#include "sim/experiment.hh"
+#include "sim/parallel_runner.hh"
 
 namespace smtdram
 {
 namespace
 {
 
-/** Shared context so single-thread baselines are computed once. */
-ExperimentContext &
-ctx()
+/** Shared runner so single-thread baselines are computed once. */
+ParallelExperimentRunner &
+runner()
 {
-    static ExperimentContext context(8000, 4000, 42);
-    return context;
+    static ParallelExperimentRunner shared({8000, 4000, 42}, 1);
+    return shared;
 }
 
 MixRun
@@ -32,7 +32,7 @@ runWith(const char *mix_name,
     SystemConfig config = SystemConfig::paperDefault(
         static_cast<std::uint32_t>(mix.apps.size()));
     tweak(config);
-    return ctx().runMix(config, mix);
+    return runner().runMix(config, mix);
 }
 
 // ---- Figure 1 claim -------------------------------------------------
@@ -168,7 +168,7 @@ TEST(PaperClaims, ThreadAwareSchedulingHelpsMemMixes)
     // EXPERIMENTS.md for the 2-MEM magnitude deviation): the best
     // thread-aware scheme must beat FCFS, and scheduling overall
     // must not be a wash.
-    ExperimentContext local(20000, 10000, 42);
+    ParallelExperimentRunner local({20000, 10000, 42}, 1);
     auto ws = [&local](SchedulerKind scheduler) {
         const WorkloadMix &mix = mixByName("4-MEM");
         SystemConfig config = SystemConfig::paperDefault(4);

@@ -7,7 +7,7 @@
  *  - conservation: sum(blame components) == completion - arrival for
  *    every request (the shadow checker asserts it on each retirement,
  *    and the launch-lockstep aggregate reconciles exactly with the
- *    readLatency distribution);
+ *    read-latency histogram);
  *  - row-sum consistency: once drained, the interference matrix row
  *    of thread t equals the occupancy-type components (queueing,
  *    refresh, scrub, hammer mitigation) summed over t's completed
@@ -176,8 +176,8 @@ TEST(BlameProperty, ConservationAndRowSumsAcrossSchedulers)
 
             // Aggregate conservation: launch-lockstep accumulation
             // reconciles exactly with the latency distribution.
-            EXPECT_EQ(static_cast<double>(cyc.agg.blameTotals.sum()),
-                      cyc.agg.readLatency.sum());
+            EXPECT_EQ(cyc.agg.blameTotals.sum(),
+                      cyc.agg.readLatencyHist.sum());
 
             // Drained row-sum consistency, per thread.
             ASSERT_LE(cyc.agg.perThreadBlame.size(),
@@ -237,8 +237,8 @@ TEST(BlameProperty, KernelModesAttributeIdentically)
                   results[1].dram.blameTotals.sum());
         // Conservation of the aggregate against the latency stats the
         // figures already report.
-        EXPECT_EQ(static_cast<double>(results[0].dram.blameTotals.sum()),
-                  results[0].dram.readLatency.sum());
+        EXPECT_EQ(results[0].dram.blameTotals.sum(),
+                  results[0].dram.readLatencyHist.sum());
         EXPECT_GT(results[0].dram.blameTotals.sum(), 0u);
     }
 }

@@ -10,44 +10,6 @@ namespace smtdram
 namespace
 {
 
-TEST(ExperimentContext, AloneIpcIsCachedAndStable)
-{
-    ExperimentContext ctx(5000, 2000, 42);
-    const double first = ctx.aloneIpc("gzip");
-    const double second = ctx.aloneIpc("gzip");
-    EXPECT_DOUBLE_EQ(first, second);
-    EXPECT_GT(first, 0.5);
-}
-
-TEST(ExperimentContext, WeightedSpeedupDefinition)
-{
-    // With N copies of similar load, weighted speedup is bounded by
-    // N and positive.
-    ExperimentContext ctx(4000, 2000, 42);
-    const MixRun r = ctx.runMix("2-ILP");
-    EXPECT_GT(r.weightedSpeedup, 0.5);
-    EXPECT_LE(r.weightedSpeedup, 2.1);
-}
-
-TEST(ExperimentContext, MixRunMatchesManualComputation)
-{
-    ExperimentContext ctx(4000, 2000, 42);
-    const WorkloadMix &mix = mixByName("2-MIX");
-    const SystemConfig config = SystemConfig::paperDefault(2);
-    const MixRun r = ctx.runMix(config, mix);
-    const double manual = r.run.ipc[0] / ctx.aloneIpc("gzip") +
-                          r.run.ipc[1] / ctx.aloneIpc("mcf");
-    EXPECT_NEAR(r.weightedSpeedup, manual, 1e-9);
-}
-
-TEST(ExperimentContextDeathTest, ThreadMismatchFatal)
-{
-    ExperimentContext ctx(1000, 500, 42);
-    const SystemConfig config = SystemConfig::paperDefault(4);
-    EXPECT_EXIT((void)ctx.runMix(config, mixByName("2-MEM")),
-                testing::ExitedWithCode(1), "threads");
-}
-
 TEST(CpiBreakdown, ComponentsAreNonNegativeAndSum)
 {
     const CpiBreakdown b = measureCpiBreakdown("gzip", 4000, 2000, 42);
@@ -172,30 +134,6 @@ TEST(ProfilesForMix, ResolvesHammerThreadsInHostileMixes)
                   dram.effectiveRowBytes());
     // Stores would repair the victims the experiment measures.
     EXPECT_EQ(apps[2].storeFrac, 0.0);
-}
-
-TEST(ExperimentContext, PerConfigBaselinesDiffer)
-{
-    ExperimentContext ctx(4000, 2000, 42);
-    SystemConfig inf = SystemConfig::paperDefault(1).withInfiniteL3();
-    const double real_ipc = ctx.aloneIpc("mcf");
-    const double inf_ipc = ctx.aloneIpcOn("mcf", inf);
-    // mcf is memory-bound: an infinite L3 transforms it.
-    EXPECT_GT(inf_ipc, 2.0 * real_ipc);
-    // Cached: repeated queries are stable.
-    EXPECT_DOUBLE_EQ(ctx.aloneIpcOn("mcf", inf), inf_ipc);
-}
-
-TEST(ExperimentContext, PerConfigWeightedSpeedupUsesOwnBaselines)
-{
-    ExperimentContext ctx(4000, 2000, 42);
-    const WorkloadMix &mix = mixByName("2-MEM");
-    SystemConfig inf = SystemConfig::paperDefault(2).withInfiniteL3();
-    const MixRun fixed = ctx.runMix(inf, mix, false);
-    const MixRun per_config = ctx.runMix(inf, mix, true);
-    // Fixed baselines (real machine) inflate the infinite-L3 WS.
-    EXPECT_GT(fixed.weightedSpeedup,
-              1.5 * per_config.weightedSpeedup);
 }
 
 } // namespace

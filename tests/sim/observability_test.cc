@@ -21,7 +21,7 @@
 #include <sstream>
 #include <string>
 
-#include "sim/experiment.hh"
+#include "sim/parallel_runner.hh"
 #include "sim/smt_system.hh"
 
 namespace smtdram
@@ -300,8 +300,8 @@ TEST(Observability, BaselineRunsDoNotClobberMixArtifacts)
     TempPaths tmp;
     SystemConfig config = SystemConfig::paperDefault(2);
     config.observe.statsJsonPath = tmp.json;
-    ExperimentContext ctx(3000, 1000, 42);
-    const MixRun mix = ctx.runMix(config, mixByName("2-MEM"));
+    ParallelExperimentRunner runner({3000, 1000, 42}, 1);
+    const MixRun mix = runner.runMix(config, mixByName("2-MEM"));
     EXPECT_GT(mix.weightedSpeedup, 0.0);
 
     const std::string doc = slurp(tmp.json);
@@ -312,11 +312,12 @@ TEST(Observability, BaselineRunsDoNotClobberMixArtifacts)
 
 TEST(Observability, MixRunCarriesLatencyPercentiles)
 {
-    ExperimentContext ctx(3000, 1000, 42);
-    const MixRun mix = ctx.runMix(SystemConfig::paperDefault(2),
-                                  mixByName("2-MEM"));
-    EXPECT_GT(mix.readLatencyP50, 0u);
-    EXPECT_GE(mix.readLatencyP99, mix.readLatencyP50);
+    ParallelExperimentRunner runner({3000, 1000, 42}, 1);
+    const MixRun mix = runner.runMix(SystemConfig::paperDefault(2),
+                                     mixByName("2-MEM"));
+    const LogHistogram &latency = mix.run.dram.readLatencyHist;
+    EXPECT_GT(latency.p50(), 0.0);
+    EXPECT_GE(latency.p99(), latency.p50());
 }
 
 } // namespace

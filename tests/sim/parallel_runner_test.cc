@@ -32,30 +32,82 @@ expectIdenticalMixRuns(const MixRun &a, const MixRun &b)
     EXPECT_EQ(a.run.dram.rowHits, b.run.dram.rowHits);
     EXPECT_EQ(a.run.dram.rowConflicts, b.run.dram.rowConflicts);
     EXPECT_EQ(a.run.dram.busBusyCycles, b.run.dram.busBusyCycles);
-    EXPECT_EQ(a.run.dram.readLatency.count(),
-              b.run.dram.readLatency.count());
-    EXPECT_EQ(a.run.dram.readLatency.mean(),
-              b.run.dram.readLatency.mean());
+    const LogHistogram &la = a.run.dram.readLatencyHist;
+    const LogHistogram &lb = b.run.dram.readLatencyHist;
+    EXPECT_EQ(la.total(), lb.total());
+    EXPECT_EQ(la.sum(), lb.sum());
+    EXPECT_EQ(la.p50(), lb.p50());
+    EXPECT_EQ(la.p99(), lb.p99());
+    EXPECT_EQ(a.run.dram.readQueueing.sum(),
+              b.run.dram.readQueueing.sum());
     EXPECT_EQ(a.run.perThreadReads, b.run.perThreadReads);
-    EXPECT_EQ(a.readLatencyP50, b.readLatencyP50);
-    EXPECT_EQ(a.readLatencyP99, b.readLatencyP99);
-    EXPECT_EQ(a.correctedErrors, b.correctedErrors);
-    EXPECT_EQ(a.retriesExhausted, b.retriesExhausted);
+    EXPECT_EQ(a.run.dram.correctedErrors, b.run.dram.correctedErrors);
+    EXPECT_EQ(a.run.dram.retriesExhausted,
+              b.run.dram.retriesExhausted);
 }
 
-TEST(ParallelRunner, SerialPathMatchesExperimentContext)
+TEST(ParallelRunner, CallerThreadRunMixMatchesSubmittedJob)
 {
-    const WorkloadMix &mix = mixByName("2-MIX");
+    // runMix() on the calling thread and a submitted job (here on a
+    // pool worker) of the same cell give the same MixRun and share
+    // one baseline memo.
+    const WorkloadMix &mix = mixByName("2-MIX");  // gzip + mcf
     const SystemConfig config = SystemConfig::paperDefault(2);
 
-    ExperimentContext ctx(kSmall.measureInsts, kSmall.warmupInsts,
-                          kSmall.seed);
-    const MixRun serial = ctx.runMix(config, mix);
+    ParallelExperimentRunner runner(kSmall, 2);
+    const MixRun direct = runner.runMix(config, mix);
+    EXPECT_EQ(runner.baselineSimulations(), 2u);
 
-    ParallelExperimentRunner runner(kSmall, 1);
     const std::size_t id = runner.submitMix(config, mix);
     runner.run();
-    expectIdenticalMixRuns(runner.mixResult(id), serial);
+    expectIdenticalMixRuns(runner.mixResult(id), direct);
+    // The job found both baselines in the memo runMix() filled.
+    EXPECT_EQ(runner.baselineSimulations(), 2u);
+}
+
+TEST(ParallelRunner, AloneIpcIsCachedAndStable)
+{
+    ParallelExperimentRunner runner({5000, 2000, 42}, 1);
+    const SystemConfig reference = SystemConfig::paperDefault(1);
+    const double first = runner.aloneIpc("gzip", reference);
+    const double second = runner.aloneIpc("gzip", reference);
+    EXPECT_DOUBLE_EQ(first, second);
+    EXPECT_EQ(runner.baselineSimulations(), 1u);
+    EXPECT_GT(first, 0.5);
+}
+
+TEST(ParallelRunner, WeightedSpeedupDefinition)
+{
+    // With N copies of similar load, weighted speedup is bounded by
+    // N and positive.
+    ParallelExperimentRunner runner({4000, 2000, 42}, 1);
+    const MixRun r = runner.runMix(SystemConfig::paperDefault(2),
+                                   mixByName("2-ILP"));
+    EXPECT_GT(r.weightedSpeedup, 0.5);
+    EXPECT_LE(r.weightedSpeedup, 2.1);
+}
+
+TEST(ParallelRunner, MixRunMatchesManualComputation)
+{
+    ParallelExperimentRunner runner({4000, 2000, 42}, 1);
+    const WorkloadMix &mix = mixByName("2-MIX");
+    const SystemConfig config = SystemConfig::paperDefault(2);
+    const MixRun r = runner.runMix(config, mix);
+    const SystemConfig reference = SystemConfig::paperDefault(1);
+    const double manual =
+        r.run.ipc[0] / runner.aloneIpc("gzip", reference) +
+        r.run.ipc[1] / runner.aloneIpc("mcf", reference);
+    EXPECT_NEAR(r.weightedSpeedup, manual, 1e-9);
+}
+
+TEST(ParallelRunner, RunMixThreadMismatchThrows)
+{
+    ParallelExperimentRunner runner({1000, 500, 42}, 1);
+    EXPECT_THROW((void)runner.runMix(SystemConfig::paperDefault(4),
+                                     mixByName("2-MEM")),
+                 std::invalid_argument);
+    // Rejected before anything was simulated.
+    EXPECT_EQ(runner.baselineSimulations(), 0u);
 }
 
 TEST(ParallelRunner, ParallelIsByteIdenticalToSerialAllSchedulers)
@@ -122,6 +174,32 @@ TEST(ParallelRunner, PerConfigBaselinesAddKeys)
     // the weighted speedup is computed against a taller denominator.
     EXPECT_GT(runner.mixResult(fixed).weightedSpeedup, 0.0);
     EXPECT_GT(runner.mixResult(per_config).weightedSpeedup, 0.0);
+}
+
+TEST(ParallelRunner, PerConfigBaselinesDiffer)
+{
+    ParallelExperimentRunner runner({4000, 2000, 42}, 1);
+    const SystemConfig real = SystemConfig::paperDefault(1);
+    const SystemConfig inf = real.withInfiniteL3();
+    const double real_ipc = runner.aloneIpc("mcf", real);
+    const double inf_ipc = runner.aloneIpc("mcf", inf);
+    // mcf is memory-bound: an infinite L3 transforms it.
+    EXPECT_GT(inf_ipc, 2.0 * real_ipc);
+    // Cached: repeated queries are stable and simulate nothing new.
+    EXPECT_DOUBLE_EQ(runner.aloneIpc("mcf", inf), inf_ipc);
+    EXPECT_EQ(runner.baselineSimulations(), 2u);
+}
+
+TEST(ParallelRunner, PerConfigWeightedSpeedupUsesOwnBaselines)
+{
+    ParallelExperimentRunner runner({4000, 2000, 42}, 1);
+    const WorkloadMix &mix = mixByName("2-MEM");
+    SystemConfig inf = SystemConfig::paperDefault(2).withInfiniteL3();
+    const MixRun fixed = runner.runMix(inf, mix, false);
+    const MixRun per_config = runner.runMix(inf, mix, true);
+    // Fixed baselines (real machine) inflate the infinite-L3 WS.
+    EXPECT_GT(fixed.weightedSpeedup,
+              1.5 * per_config.weightedSpeedup);
 }
 
 TEST(ParallelRunner, CpiBreakdownMatchesSerialHelper)
