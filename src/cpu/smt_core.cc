@@ -49,8 +49,12 @@ SmtCore::SmtCore(const CoreConfig &config, Hierarchy &hierarchy)
         t.fetchQueue.init(config_.fetchQueueCap);
     }
     writeBuffer_.init(config_.writeBufferCap);
-    intIq_.reserve(config_.intIqSize);
-    fpIq_.reserve(config_.fpIqSize);
+    const std::uint32_t iq_entries = config_.intIqSize + config_.fpIqSize;
+    iqFile_.resize(iq_entries);
+    for (std::uint32_t id = iq_entries; id-- > 0;)
+        (id < config_.intIqSize ? intIq_ : fpIq_).free.push_back(id);
+    intIq_.ready.reserve(config_.intIqSize);
+    fpIq_.ready.reserve(config_.fpIqSize);
 
     hierarchy_.setMissCallback(
         [this](ThreadId tid, InstSeq seq, AccessKind kind, Cycle when) {
@@ -144,25 +148,24 @@ SmtCore::robSlot(ThreadId tid, InstSeq seq) const
     return threads_[tid].rob[seq & (config_.robPerThread - 1)];
 }
 
-const SmtCore::DynInst *
-SmtCore::resolveProducer(ThreadId tid, InstSeq seq, std::uint8_t dist,
-                         InstSeq &pseq_out) const
+void
+SmtCore::waitOnProducer(ThreadId tid, InstSeq seq, std::uint8_t dist,
+                        std::uint32_t id, unsigned operand)
 {
-    pseq_out = 0;
-    if (dist == 0)
-        return nullptr;
-    if (static_cast<InstSeq>(dist) > seq)
-        return nullptr;  // producer precedes the measured stream
+    if (dist == 0 || static_cast<InstSeq>(dist) > seq)
+        return;  // no dependence, or producer precedes the stream
     const InstSeq pseq = seq - dist;
     if (pseq < threads_[tid].robHead)
-        return nullptr;  // producer already committed
-    const DynInst &p = robSlot(tid, pseq);
+        return;  // producer already committed
+    DynInst &p = robSlot(tid, pseq);
     panic_if(p.seq != pseq, "ROB ring corrupted (seq %llu vs %llu)",
              (unsigned long long)p.seq, (unsigned long long)pseq);
-    if (!producesValue(p.op.cls))
-        return nullptr;
-    pseq_out = pseq;
-    return &p;
+    if (!producesValue(p.cls) || p.state == DynInst::State::Completed)
+        return;
+    IqEntry &e = iqFile_[id];
+    e.next[operand] = p.wakeHead;
+    p.wakeHead = 2 * id + operand + 1;
+    ++e.pending;
 }
 
 // --------------------------------------------------------------------
@@ -173,9 +176,11 @@ void
 SmtCore::commitStage(Cycle now)
 {
     (void)now;
+    const std::uint64_t start = commitRotation_++;
+    if (commitIdle_)
+        return;
     std::uint32_t budget = config_.commitWidth;
     const std::uint32_t n = config_.numThreads;
-    const std::uint64_t start = commitRotation_++;
 
     for (std::uint32_t i = 0; i < n && budget > 0; ++i) {
         const ThreadId tid = static_cast<ThreadId>((start + i) % n);
@@ -185,23 +190,22 @@ SmtCore::commitStage(Cycle now)
             panic_if(slot.seq != t.robHead, "commit ring mismatch");
             if (slot.state != DynInst::State::Completed)
                 break;
-            if (slot.op.cls == OpClass::Store) {
+            if (slot.cls == OpClass::Store) {
                 if (writeBuffer_.size() >= config_.writeBufferCap)
                     break;  // this thread's commit stalls
-                writeBuffer_.push_back(
-                    PendingStore{tid, slot.op.effAddr});
+                writeBuffer_.push_back(PendingStore{tid, slot.effAddr});
             }
-            if (producesValue(slot.op.cls)) {
-                if (slot.isFp)
+            if (producesValue(slot.cls)) {
+                if (isFpClass(slot.cls))
                     ++freeFpRegs_;
                 else
                     ++freeIntRegs_;
             }
-            if (slot.op.cls == OpClass::Load) {
+            if (slot.cls == OpClass::Load) {
                 panic_if(lqUsed_ == 0, "LQ underflow");
                 --lqUsed_;
             }
-            if (slot.op.cls == OpClass::Store) {
+            if (slot.cls == OpClass::Store) {
                 panic_if(sqUsed_ == 0, "SQ underflow");
                 --sqUsed_;
             }
@@ -214,6 +218,12 @@ SmtCore::commitStage(Cycle now)
             --budget;
         }
     }
+    // Heads only become committable by completing, and a stalled store
+    // head only by a write-buffer pop: until either happens, an empty
+    // pass repeats itself exactly.
+    commitIdle_ = budget == config_.commitWidth;
+    if (!commitIdle_)
+        dispatchWakeAt_ = 0;  // ROB, register and LSQ space freed
 }
 
 // --------------------------------------------------------------------
@@ -232,8 +242,26 @@ SmtCore::markCompleted(ThreadId tid, InstSeq seq, Cycle now)
         return;
     }
     slot.state = DynInst::State::Completed;
-    issueScanNeeded_ = true;   // dependents may be ready now
-    depRecheckNeeded_ = true;  // existing ready bits may be stale
+    commitIdle_ = false;
+    // Wake the operands chained on this value.  An entry whose last
+    // in-flight producer this was joins its queue's ready list at its
+    // place in dispatch order.
+    const auto precedes = [this](std::uint64_t stamp, std::uint32_t id) {
+        return stamp < iqFile_[id].stamp;
+    };
+    for (std::uint32_t link = slot.wakeHead; link != 0;) {
+        const std::uint32_t id = (link - 1) / 2;
+        IqEntry &e = iqFile_[id];
+        link = e.next[(link - 1) % 2];
+        if (--e.pending != 0)
+            continue;
+        std::vector<std::uint32_t> &ready =
+            (id < config_.intIqSize ? intIq_ : fpIq_).ready;
+        ready.insert(std::upper_bound(ready.begin(), ready.end(),
+                                      e.stamp, precedes),
+                     id);
+    }
+    slot.wakeHead = 0;
 
     if (slot.mispredicted && t.awaitingBranch &&
         t.awaitedBranchSeq == seq) {
@@ -260,152 +288,83 @@ SmtCore::completeStage(Cycle now)
 void
 SmtCore::issueStage(Cycle now)
 {
-    // Readiness is monotone: a waiting instruction's producers only
-    // ever move toward Completed (markCompleted is the sole Waiting/
-    // Issued -> Completed transition, and commit requires Completed
-    // first, so advancing robHead never newly enables a consumer).
-    // A full scan that found nothing dep-ready therefore stays
-    // fruitless until a completion lands or dispatch inserts a new
-    // entry — both set issueScanNeeded_.  Skipping those cycles is
-    // stat-identical: a fruitless scan issues nothing and touches no
-    // counters.
-    if (!issueScanNeeded_ || (intIq_.empty() && fpIq_.empty()))
+    // The ready lists hold exactly the dep-ready entries, oldest
+    // first, so walking them is the age-order scan of each queue
+    // minus the entries that scan would skip.  Readiness cannot change
+    // mid-walk: completions only land in completeStage and fills.
+    if (intIq_.ready.empty() && fpIq_.ready.empty())
         return;
 
-    std::uint32_t alu = config_.intAluUnits;
-    std::uint32_t mult = config_.intMultUnits;
     std::uint32_t ports = config_.cachePorts;
-    std::uint32_t int_budget = config_.intIssueWidth;
-    std::uint32_t issued_int = 0;
+    bool issued_int = false;
 
-    // True when some dep-ready entry was left unissued (width, unit,
-    // or port pressure, or a blocked cache probe): resources reset
-    // next cycle, so the scan must re-run even with no new event.
-    bool leftover_ready = false;
-
-    // Ready bits are exact except after a completion: dispatch
-    // computes them on insert, and only markCompleted can flip a
-    // producer under an existing entry.  On recheck-free cycles a
-    // non-ready entry is skipped without touching its producers.
-    const bool recheck = depRecheckNeeded_;
-    // A budget early-out leaves tail entries un-rechecked (their bits
-    // may still be stale), so the flag only clears on a full pass
-    // over both queues.
-    bool full_scan = true;
-
-    auto issue_from = [&](std::vector<IqRef> &iq, bool is_fp,
-                          std::uint32_t &budget,
-                          std::uint32_t &fu_a, std::uint32_t &fu_b) {
+    auto issue_from = [&](IssueQueue &q, bool is_fp,
+                          std::uint32_t budget, std::uint32_t fu_a,
+                          std::uint32_t fu_b) {
+        std::vector<std::uint32_t> &ready = q.ready;
         size_t keep = 0;
-        for (size_t i = 0; i < iq.size(); ++i) {
-            // Once the width or both functional units are exhausted
-            // nothing further can issue, so the tail survives as-is:
-            // compact it in one pass instead of re-testing per entry.
-            if (budget == 0 || (fu_a == 0 && fu_b == 0)) {
-                leftover_ready = true;  // unknown tail: rescan
-                full_scan = false;
-                if (keep == i) {
-                    keep = iq.size();
-                } else {
-                    for (; i < iq.size(); ++i)
-                        iq[keep++] = iq[i];
-                }
-                break;
+        size_t i = 0;
+        // Once the width or both functional units are exhausted
+        // nothing further can issue, so the tail survives as-is.
+        for (; i < ready.size() && budget > 0 && (fu_a > 0 || fu_b > 0);
+             ++i) {
+            const std::uint32_t id = ready[i];
+            const IqEntry &e = iqFile_[id];
+            DynInst &slot = *e.slot;
+            panic_if(slot.seq != e.seq, "IQ ring mismatch");
+            panic_if(slot.state != DynInst::State::Waiting,
+                     "non-waiting inst in IQ");
+            const OpClass cls = slot.cls;
+            std::uint32_t &fu =
+                is_fp ? (cls == OpClass::FpAlu ? fu_a : fu_b)
+                      : (cls == OpClass::IntMult ? fu_b : fu_a);
+            if (fu == 0 || (cls == OpClass::Load && ports == 0)) {
+                ready[keep++] = id;  // ready, no unit/port
+                continue;
             }
-            IqRef ref = iq[i];
-            bool issued = false;
-            if (budget > 0) {
-                DynInst &slot = *ref.slot;
-                panic_if(slot.seq != ref.seq, "IQ ring mismatch");
-                panic_if(slot.state != DynInst::State::Waiting,
-                         "non-waiting inst in IQ");
-                bool deps_ok = ref.ready;
-                if (!deps_ok && recheck) {
-                    deps_ok = producerDone(ref.p1, ref.p1seq) &&
-                              producerDone(ref.p2, ref.p2seq);
-                    ref.ready = deps_ok;
+            if (cls == OpClass::Load) {
+                const AccessResult r = hierarchy_.access(
+                    AccessKind::Load, e.tid, e.seq, slot.effAddr, now);
+                if (r.status == AccessResult::Status::Blocked) {
+                    ready[keep++] = id;  // structural hazard: replay
+                    continue;
                 }
-                if (deps_ok) {
-                    const OpClass cls = slot.op.cls;
-                    std::uint32_t *fu = nullptr;
-                    bool needs_port = false;
-                    if (is_fp) {
-                        fu = (cls == OpClass::FpAlu) ? &fu_a : &fu_b;
-                    } else if (cls == OpClass::IntMult) {
-                        fu = &fu_b;
-                    } else {
-                        fu = &fu_a;
-                        needs_port = cls == OpClass::Load;
-                    }
-                    if (*fu > 0 && (!needs_port || ports > 0)) {
-                        if (cls == OpClass::Load) {
-                            AccessResult r = hierarchy_.access(
-                                AccessKind::Load, ref.tid, ref.seq,
-                                slot.op.effAddr, now);
-                            if (r.status ==
-                                AccessResult::Status::Blocked) {
-                                // Structural hazard: replay later.
-                                leftover_ready = true;
-                                iq[keep++] = ref;
-                                continue;
-                            }
-                            --ports;
-                            if (r.status ==
-                                AccessResult::Status::Hit) {
-                                completions_.push(Completion{
-                                    now + execLatency(cls) + r.latency,
-                                    ref.tid, ref.seq});
-                            }
-                            ++perf_[ref.tid].loads;
-                        } else {
-                            completions_.push(Completion{
-                                now + execLatency(cls), ref.tid,
-                                ref.seq});
-                            if (cls == OpClass::Store)
-                                ++perf_[ref.tid].stores;
-                        }
-                        --*fu;
-                        --budget;
-                        slot.state = DynInst::State::Issued;
-                        slot.dispatchedAt = now;
-                        if (is_fp) {
-                            --fpIqOcc_[ref.tid];
-                        } else {
-                            --intIqOcc_[ref.tid];
-                            ++issued_int;
-                        }
-                        issued = true;
-                    } else {
-                        leftover_ready = true;  // ready, no unit/port
-                    }
+                --ports;
+                // A miss completes through the fill callback.
+                if (r.status == AccessResult::Status::Hit) {
+                    completions_.push(Completion{
+                        now + execLatency(cls) + r.latency, e.tid,
+                        e.seq});
                 }
+                ++perf_[e.tid].loads;
+            } else {
+                completions_.push(
+                    Completion{now + execLatency(cls), e.tid, e.seq});
+                if (cls == OpClass::Store)
+                    ++perf_[e.tid].stores;
             }
-            if (!issued) {
-                // ready is the only field the scan mutates; skip the
-                // full struct store when nothing moved.
-                if (keep != i)
-                    iq[keep] = ref;
-                else
-                    iq[i].ready = ref.ready;
-                ++keep;
+            --fu;
+            --budget;
+            slot.state = DynInst::State::Issued;
+            if (is_fp) {
+                --fpIqOcc_[e.tid];
+            } else {
+                --intIqOcc_[e.tid];
+                issued_int = true;
             }
+            q.free.push_back(id);
+            dispatchWakeAt_ = 0;  // a full queue may have stalled it
         }
-        iq.resize(keep);
+        ready.erase(ready.begin() + keep, ready.begin() + i);
     };
 
-    issue_from(intIq_, false, int_budget, alu, mult);
+    issue_from(intIq_, false, config_.intIssueWidth, config_.intAluUnits,
+               config_.intMultUnits);
+    issue_from(fpIq_, true, config_.fpIssueWidth, config_.fpAluUnits,
+               config_.fpMultUnits);
 
-    std::uint32_t fp_budget = config_.fpIssueWidth;
-    std::uint32_t fp_alu = config_.fpAluUnits;
-    std::uint32_t fp_mult = config_.fpMultUnits;
-    issue_from(fpIq_, true, fp_budget, fp_alu, fp_mult);
-
-    if (issued_int > 0)
+    if (issued_int)
         ++intIssueActiveCycles_;
-
-    issueScanNeeded_ = leftover_ready;
-    if (recheck && full_scan)
-        depRecheckNeeded_ = false;
 }
 
 // --------------------------------------------------------------------
@@ -415,24 +374,15 @@ SmtCore::issueStage(Cycle now)
 void
 SmtCore::dispatchStage(Cycle now)
 {
-    std::uint32_t budget = config_.dispatchWidth;
-    const std::uint32_t n = config_.numThreads;
     const std::uint64_t start = dispatchRotation_++;
-
-    // Nothing decoded and ready anywhere: skip the scratch setup and
-    // the round-robin scan (the rotation above already advanced).
-    bool any_ready = false;
-    for (std::uint32_t i = 0; i < n; ++i) {
-        const ThreadState &t = threads_[i];
-        if (!t.fetchQueue.empty() &&
-            t.fetchQueue.front().readyAt <= now) {
-            any_ready = true;
-            break;
-        }
-    }
-    if (!any_ready)
+    // Asleep: no front finishes decoding before dispatchWakeAt_, and
+    // nothing has freed a resource a decoded front is stalled on.
+    if (now < dispatchWakeAt_)
         return;
 
+    std::uint32_t budget = config_.dispatchWidth;
+    const std::uint32_t n = config_.numThreads;
+    Cycle wake = kCycleNever;  // earliest still-decoding front
     bool progress = true;
     std::vector<std::uint8_t> &stalled = dispatchStalled_;
     stalled.assign(n, 0);
@@ -443,18 +393,22 @@ SmtCore::dispatchStage(Cycle now)
             if (stalled[tid])
                 continue;
             ThreadState &t = threads_[tid];
-            if (t.fetchQueue.empty() ||
-                t.fetchQueue.front().readyAt > now) {
+            if (t.fetchQueue.empty()) {
                 stalled[tid] = 1;
                 continue;
             }
             const FetchedInst &f = t.fetchQueue.front();
+            if (f.readyAt > now) {
+                wake = std::min(wake, f.readyAt);
+                stalled[tid] = 1;
+                continue;
+            }
             const bool is_fp = isFpClass(f.op.cls);
+            IssueQueue &q = is_fp ? fpIq_ : intIq_;
 
             // Structural checks: ROB, IQ, registers, LSQ.
             if (t.robTail - t.robHead >= config_.robPerThread ||
-                (is_fp ? fpIq_.size() >= config_.fpIqSize
-                       : intIq_.size() >= config_.intIqSize) ||
+                q.free.empty() ||
                 (producesValue(f.op.cls) &&
                  (is_fp ? freeFpRegs_ == 0 : freeIntRegs_ == 0)) ||
                 (f.op.cls == OpClass::Load && lqUsed_ >= config_.lqSize) ||
@@ -466,12 +420,11 @@ SmtCore::dispatchStage(Cycle now)
 
             panic_if(f.seq != t.robTail, "dispatch out of order");
             DynInst &slot = robSlot(tid, f.seq);
-            slot.op = f.op;
+            slot.effAddr = f.op.effAddr;
             slot.seq = f.seq;
+            slot.cls = f.op.cls;
             slot.state = DynInst::State::Waiting;
             slot.mispredicted = f.mispredicted;
-            slot.isFp = is_fp;
-            slot.dispatchedAt = now;
 
             if (producesValue(f.op.cls)) {
                 if (is_fp)
@@ -484,26 +437,21 @@ SmtCore::dispatchStage(Cycle now)
             if (f.op.cls == OpClass::Store)
                 ++sqUsed_;
 
-            IqRef ref;
-            ref.tid = tid;
-            ref.seq = f.seq;
-            ref.slot = &slot;
-            ref.p1 = resolveProducer(tid, f.seq, f.op.dep1, ref.p1seq);
-            ref.p2 = resolveProducer(tid, f.seq, f.op.dep2, ref.p2seq);
-            // Exact at insert: the bit only goes stale when a later
-            // completion lands, which flags depRecheckNeeded_.
-            ref.ready = producerDone(ref.p1, ref.p1seq) &&
-                        producerDone(ref.p2, ref.p2seq);
+            const std::uint32_t id = q.free.back();
+            q.free.pop_back();
+            IqEntry &e = iqFile_[id];
+            e = IqEntry{&slot, f.seq, nextStamp_++, tid, 0, {0, 0}};
+            waitOnProducer(tid, f.seq, f.op.dep1, id, 0);
+            waitOnProducer(tid, f.seq, f.op.dep2, id, 1);
+            if (e.pending == 0)
+                q.ready.push_back(id);  // newest stamp: stays sorted
             if (is_fp) {
-                fpIq_.push_back(ref);
                 ++fpIqOcc_[tid];
             } else {
-                intIq_.push_back(ref);
                 ++intIqOcc_[tid];
                 intIqHighWater_[tid] =
                     std::max(intIqHighWater_[tid], intIqOcc_[tid]);
             }
-            issueScanNeeded_ = true;  // new entry for the next scan
             ++robOcc_[tid];
             robHighWater_[tid] =
                 std::max(robHighWater_[tid], robOcc_[tid]);
@@ -513,6 +461,10 @@ SmtCore::dispatchStage(Cycle now)
             progress = true;
         }
     }
+    // Fronts only change by dispatch or by fetch into an empty queue,
+    // and a decoded front stalls only on space that commit or issue
+    // frees: until one of those, an empty pass repeats itself exactly.
+    dispatchWakeAt_ = budget < config_.dispatchWidth ? 0 : wake;
 }
 
 // --------------------------------------------------------------------
@@ -565,6 +517,8 @@ SmtCore::fetchFromThread(ThreadId tid, std::uint32_t budget, Cycle now)
                 ++perf_[tid].mispredicts;
         }
 
+        if (t.fetchQueue.empty())  // a new front for a sleeping dispatch
+            dispatchWakeAt_ = std::min(dispatchWakeAt_, f.readyAt);
         t.fetchQueue.push_back(f);
         ++perf_[tid].fetchedInsts;
         ++count;
@@ -593,15 +547,22 @@ void
 SmtCore::fetchStage(Cycle now)
 {
     const std::uint32_t n = config_.numThreads;
+    const std::uint64_t rotation = fetchRotation_++;
+    // The policy only ranks fetchable threads: with none, the pass
+    // does nothing but maintain the tracer's stall spans.
+    bool any_fetchable = false;
+    for (ThreadId tid = 0; tid < n && !any_fetchable; ++tid)
+        any_fetchable = canFetch(threads_[tid], now);
+    if (!any_fetchable && !tracer_)
+        return;
+
     std::vector<FetchThreadState> &states = fetchStates_;
     states.assign(n, FetchThreadState{});
     for (ThreadId tid = 0; tid < n; ++tid) {
         const ThreadState &t = threads_[tid];
         FetchThreadState &s = states[tid];
         s.tid = tid;
-        s.fetchable = t.stream != nullptr && !t.icacheBlocked &&
-                      !t.awaitingBranch && now >= t.fetchResumeAt &&
-                      t.fetchQueue.size() < config_.fetchQueueCap;
+        s.fetchable = canFetch(t, now);
         s.frontEndCount = static_cast<std::uint32_t>(
             t.fetchQueue.size() + intIqOcc_[tid] + fpIqOcc_[tid]);
         s.pendingDataMisses = hierarchy_.pendingDataMisses(tid);
@@ -632,8 +593,7 @@ SmtCore::fetchStage(Cycle now)
     }
 
     std::vector<ThreadId> &order = fetchOrder_;
-    rankFetchThreads(config_.fetchPolicy, states, fetchRotation_++,
-                     order);
+    rankFetchThreads(config_.fetchPolicy, states, rotation, order);
 
     std::uint32_t budget = config_.fetchWidth;
     std::uint32_t threads_used = 0;
@@ -664,6 +624,7 @@ SmtCore::drainWriteBuffer(Cycle now)
         return;  // retry next cycle
     // Hit: written.  Pending: the fill installs the line dirty.
     writeBuffer_.pop_front();
+    commitIdle_ = false;  // a store head stalled on a full buffer
 }
 
 // --------------------------------------------------------------------
@@ -696,8 +657,11 @@ SmtCore::nextEventAt(Cycle now) const
 {
     // Draining the write buffer touches the hierarchy every cycle
     // (even a Blocked probe updates TLB/MSHR bookkeeping), so no
-    // cycle with a pending store may be skipped.
-    if (!writeBuffer_.empty())
+    // cycle with a pending store may be skipped.  Likewise a
+    // dep-ready IQ entry issues, or for a load replays a blocked
+    // cache probe, next cycle.
+    if (!writeBuffer_.empty() || !intIq_.ready.empty() ||
+        !fpIq_.ready.empty())
         return now + 1;
 
     Cycle next = kCycleNever;
@@ -720,8 +684,7 @@ SmtCore::nextEventAt(Cycle now) const
             const bool is_fp = isFpClass(f.op.cls);
             const bool space =
                 !(t.robTail - t.robHead >= config_.robPerThread ||
-                  (is_fp ? fpIq_.size() >= config_.fpIqSize
-                         : intIq_.size() >= config_.intIqSize) ||
+                  (is_fp ? fpIq_ : intIq_).free.empty() ||
                   (producesValue(f.op.cls) &&
                    (is_fp ? freeFpRegs_ == 0 : freeIntRegs_ == 0)) ||
                   (f.op.cls == OpClass::Load &&
@@ -747,18 +710,6 @@ SmtCore::nextEventAt(Cycle now) const
         }
     }
 
-    // Issue: any queue entry with both producers ready would issue
-    // (or, for a load, replay a blocked cache probe) next cycle.
-    for (const IqRef &ref : intIq_) {
-        if (ref.ready || (producerDone(ref.p1, ref.p1seq) &&
-                          producerDone(ref.p2, ref.p2seq)))
-            return now + 1;
-    }
-    for (const IqRef &ref : fpIq_) {
-        if (ref.ready || (producerDone(ref.p1, ref.p1seq) &&
-                          producerDone(ref.p2, ref.p2seq)))
-            return now + 1;
-    }
     return next;
 }
 

@@ -174,10 +174,16 @@ class SmtCore
         bool mispredicted = false;
     };
 
-    /** In-flight instruction state (ROB slot). */
+    /** In-flight instruction state (ROB slot).  After dispatch the
+     *  core reads only the op's class and address, so the slot keeps
+     *  just those two fields of it. */
     struct DynInst {
-        MicroOp op;
+        Addr effAddr = 0;
         InstSeq seq = 0;
+        /** Head of the chain of IQ operands waiting on this value
+         *  (link = 2 * entry + operand + 1; 0 ends the chain). */
+        std::uint32_t wakeHead = 0;
+        OpClass cls = OpClass::IntAlu;
         enum class State : std::uint8_t {
             Empty,
             Waiting,   ///< in the issue queue
@@ -186,8 +192,6 @@ class SmtCore
         };
         State state = State::Empty;
         bool mispredicted = false;
-        bool isFp = false;
-        Cycle dispatchedAt = 0;
     };
 
     /** Per-thread architectural state. */
@@ -220,6 +224,16 @@ class SmtCore
     void fetchStage(Cycle now);
     void drainWriteBuffer(Cycle now);
 
+    /** Fetch's per-thread gate: bound, not waiting on the I-cache or
+     *  a mispredict, past any redirect, with fetch-queue room. */
+    bool
+    canFetch(const ThreadState &t, Cycle now) const
+    {
+        return t.stream != nullptr && !t.icacheBlocked &&
+               !t.awaitingBranch && now >= t.fetchResumeAt &&
+               t.fetchQueue.size() < config_.fetchQueueCap;
+    }
+
     /** Fetch up to @p budget instructions from thread @p tid. */
     std::uint32_t fetchFromThread(ThreadId tid, std::uint32_t budget,
                                   Cycle now);
@@ -242,44 +256,38 @@ class SmtCore
     /** Sum of perf_[*].committedInsts, updated at commit. */
     std::uint64_t totalCommitted_ = 0;
 
-    /** Issue queues: (tid, seq) refs in age order, with the ROB slot
-     *  and any still-in-flight producers resolved once at dispatch.
-     *  ROB rings never reallocate, so the pointers stay valid for the
-     *  entry's whole IQ residency.  A null producer is one that was
-     *  already safe at dispatch (no dependence, pre-stream, committed,
-     *  or non-value-producing); a non-null one is checked with
-     *  producerDone().  `ready` is sticky: readiness is monotone, so
-     *  once both producers are seen done the checks never rerun. */
-    struct IqRef {
-        ThreadId tid;
-        InstSeq seq;
+    /** One issue-queue entry.  ROB rings never reallocate, so `slot`
+     *  stays valid for the entry's whole residency.  `pending` counts
+     *  operands whose producer was in flight at dispatch and has not
+     *  completed; each such operand is linked through `next` into its
+     *  producer's wake chain. */
+    struct IqEntry {
         DynInst *slot;
-        const DynInst *p1;
-        const DynInst *p2;
-        InstSeq p1seq;
-        InstSeq p2seq;
-        bool ready;
+        InstSeq seq;
+        std::uint64_t stamp;      ///< global dispatch order
+        ThreadId tid;
+        std::uint32_t pending;
+        std::uint32_t next[2];    ///< wake-chain link per operand
     };
 
-    /** True once the producer occupying @p p at dispatch has its
-     *  value: completed in place, committed (Empty, same seq), or
-     *  committed and its ring slot reused (seq moved on). */
-    static bool
-    producerDone(const DynInst *p, InstSeq pseq)
-    {
-        return p == nullptr || p->seq != pseq ||
-               p->state == DynInst::State::Completed ||
-               p->state == DynInst::State::Empty;
-    }
+    /** One issue queue over its share of iqFile_: the free entries,
+     *  and the dep-ready ones in dispatch (age) order. */
+    struct IssueQueue {
+        std::vector<std::uint32_t> free;
+        std::vector<std::uint32_t> ready;
+    };
 
-    /** Resolve the producer @p dist back from @p seq to its ROB slot,
-     *  or null when it can never gate issue; @p pseq_out gets its
-     *  seq for the reuse check. */
-    const DynInst *resolveProducer(ThreadId tid, InstSeq seq,
-                                   std::uint8_t dist,
-                                   InstSeq &pseq_out) const;
-    std::vector<IqRef> intIq_;
-    std::vector<IqRef> fpIq_;
+    /** Chain operand @p operand of IQ entry @p id onto the producer
+     *  @p dist back from @p seq, if that producer is still in flight
+     *  (dispatched, value-producing, not completed). */
+    void waitOnProducer(ThreadId tid, InstSeq seq, std::uint8_t dist,
+                        std::uint32_t id, unsigned operand);
+
+    /** intIqSize int entries, then fpIqSize fp entries. */
+    std::vector<IqEntry> iqFile_;
+    IssueQueue intIq_;
+    IssueQueue fpIq_;
+    std::uint64_t nextStamp_ = 0;
     std::vector<std::uint32_t> intIqOcc_;
     std::vector<std::uint32_t> fpIqOcc_;
     std::vector<std::uint32_t> robOcc_;
@@ -312,15 +320,16 @@ class SmtCore
     };
     BoundedFifo<PendingStore> writeBuffer_;
 
-    /** False while a rescan of the issue queues cannot possibly find
-     *  work: the last full scan left no dep-ready entry behind, and
-     *  no completion or dispatch has happened since (readiness is
-     *  monotone, so nothing else can enable a waiting entry). */
-    bool issueScanNeeded_ = true;
+    /** Commit stage gate: set by a pass that commits nothing, which
+     *  stays fruitless until a head completes (markCompleted) or the
+     *  write buffer frees a slot for a store head. */
+    bool commitIdle_ = false;
 
-    /** True while some IqRef.ready bit may be stale-false: set by
-     *  markCompleted, cleared by the next full dep-recheck pass. */
-    bool depRecheckNeeded_ = true;
+    /** Dispatch stage gate: after a pass that dispatches nothing, the
+     *  earliest cycle a stalled front finishes decoding.  Lowered by
+     *  fetch into an empty queue; reset to 0 when commit or issue
+     *  frees a structural resource. */
+    Cycle dispatchWakeAt_ = 0;
 
     std::uint64_t fetchRotation_ = 0;
     std::uint64_t commitRotation_ = 0;

@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <fstream>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "common/random.hh"
 #include "cpu/smt_core.hh"
@@ -14,27 +18,32 @@ namespace smtdram
 namespace
 {
 
-/** Scripted stream: endless repetition of a fixed op template. */
+/** Scripted stream: endless repetition of a fixed op pattern. */
 class FixedStream : public InstStream
 {
   public:
-    explicit FixedStream(MicroOp tmpl) : tmpl_(tmpl) {}
+    explicit FixedStream(MicroOp tmpl) : ops_{tmpl} {}
+    explicit FixedStream(std::vector<MicroOp> ops) : ops_(std::move(ops))
+    {
+    }
 
     MicroOp
     next() override
     {
-        MicroOp op = tmpl_;
+        MicroOp op = ops_[count_++ % ops_.size()];
         op.pc = pc_;
         pc_ += 4;
-        if (pc_ >= kBase + 2048)
+        if (pc_ >= kBase + kCodeBytes)
             pc_ = kBase;
         return op;
     }
 
     static constexpr Addr kBase = 0x40'0000;
+    static constexpr Addr kCodeBytes = 2048;
 
   private:
-    MicroOp tmpl_;
+    std::vector<MicroOp> ops_;
+    std::uint64_t count_ = 0;
     Addr pc_ = kBase;
 };
 
@@ -69,6 +78,16 @@ class CoreHarness
             core.cycle(c);
         }
         now += cycles;
+    }
+
+    /** Put thread 0's FixedStream code in the L2, so its I-cache
+     *  misses cost an L2 hit rather than a DRAM read. */
+    void
+    prewarmCode()
+    {
+        for (Addr pc = FixedStream::kBase;
+             pc < FixedStream::kBase + FixedStream::kCodeBytes; pc += 64)
+            hierarchy.prewarmLine(0, pc, false);
     }
 
     /** Steady-state IPC of thread 0 measured after a warm window. */
@@ -134,6 +153,70 @@ TEST(SmtCore, IntMultLatencyBoundsChain)
     h.core.bindStream(0, &s);
     // A serial chain of 7-cycle multiplies: ~1/7 IPC.
     EXPECT_NEAR(h.steadyIpc(), 1.0 / 7.0, 0.02);
+}
+
+TEST(SmtCore, SameProducerOnBothOperandsWakesOnce)
+{
+    // Both operands wait on the same producer, which therefore wakes
+    // the entry through two chain links.  Woken too early or never,
+    // the chain would not run at exactly one per cycle.
+    CoreHarness h(oneThread());
+    MicroOp op = alu(1);
+    op.dep2 = 1;
+    FixedStream s(op);
+    h.core.bindStream(0, &s);
+    EXPECT_NEAR(h.steadyIpc(), 1.0, 0.05);
+}
+
+TEST(SmtCore, ConsumerWaitsForSlowerProducer)
+{
+    // Repeating [mult, alu, consumer]: the mult and the alu both read
+    // the previous consumer, and the consumer reads both of them.  It
+    // must wait for the 7-cycle mult, not just the 1-cycle alu, so
+    // each group of three takes 7 + 1 cycles.
+    CoreHarness h(oneThread());
+    MicroOp mult;
+    mult.cls = OpClass::IntMult;
+    mult.dep1 = 1;
+    MicroOp consumer = alu(1);
+    consumer.dep2 = 2;
+    FixedStream s({mult, alu(2), consumer});
+    h.core.bindStream(0, &s);
+    EXPECT_NEAR(h.steadyIpc(), 3.0 / 8.0, 0.02);
+}
+
+TEST(SmtCore, WokenEntryIssuesBeforeYoungerReadyOnes)
+{
+    // One multiplier.  After an ALU op (fetched alone by the first
+    // I-cache miss), mult 2 waits on mult 1, and the thirteen mults
+    // after them are independent, so they queue for the unit one per
+    // cycle.  When mult 1 completes, mult 2 is the oldest ready entry
+    // and takes the unit that cycle: it commits exactly one mult
+    // latency after mult 1, not after the younger ready mults.
+    CoreConfig config = oneThread();
+    config.intMultUnits = 1;
+    CoreHarness h(config);
+    MicroOp mult;
+    mult.cls = OpClass::IntMult;
+    std::vector<MicroOp> ops(16, mult);
+    ops[0] = alu();
+    ops[2].dep1 = 1;
+    FixedStream s(ops);
+    h.prewarmCode();
+    h.core.bindStream(0, &s);
+
+    Cycle first = 0;
+    Cycle second = 0;
+    for (Cycle c = 1; second == 0; ++c) {
+        ASSERT_LT(c, 5000u);
+        h.run(1);
+        const std::uint64_t committed = h.core.perf(0).committedInsts;
+        if (committed >= 2 && first == 0)
+            first = c;
+        if (committed >= 3)
+            second = c;
+    }
+    EXPECT_EQ(second - first, execLatency(OpClass::IntMult));
 }
 
 TEST(SmtCore, FpOpsUseFpQueue)
@@ -274,6 +357,92 @@ TEST(SmtCore, StoresDrainThroughWriteBuffer)
     EXPECT_GT(h.core.perf(0).committedInsts, 10000u);
 }
 
+TEST(SmtCore, ParkedThreadRetiresItsStoreMisses)
+{
+    // Stores to ever-new lines: each drain takes an L1D MSHR, and once
+    // those are all busy the write buffer stays full.  Commit then
+    // waits on a store head that completed long ago, so only the
+    // buffer's drains can restart it -- in particular after the
+    // thread is parked and nothing else is left in flight.
+    CoreHarness h(oneThread());
+    MicroOp op;
+    op.cls = OpClass::Store;
+    std::vector<MicroOp> ops(4096, op);
+    for (std::size_t i = 0; i < ops.size(); ++i)
+        ops[i].effAddr = 0x1000'0000 + 64 * i;
+    FixedStream s(ops);
+    h.core.bindStream(0, &s);
+    h.run(10000);
+    h.core.bindStream(0, nullptr);
+    h.run(5000);
+    EXPECT_GT(h.core.perf(0).committedInsts, 100u);
+    EXPECT_TRUE(h.core.quiescent(0));
+    EXPECT_EQ(h.core.perf(0).committedInsts, h.core.perf(0).fetchedInsts);
+}
+
+TEST(SmtCore, IssueFreedIqEntryRefillsTheSameCycle)
+{
+    // A DRAM miss at the ROB head holds commit while a serial chain of
+    // mults behind it fills a small integer queue.  Each mult that
+    // issues frees an entry, and dispatch, which has decoded mults
+    // waiting, must refill it in the same cycle.
+    CoreConfig config = oneThread();
+    config.intIqSize = 8;
+    CoreHarness h(config);
+    MicroOp cold;
+    cold.cls = OpClass::Load;
+    cold.effAddr = 0x2000'0000;
+    MicroOp mult;
+    mult.cls = OpClass::IntMult;
+    mult.dep1 = 1;
+    std::vector<MicroOp> ops(1000, mult);
+    ops[0] = cold;
+    ops[1].dep1 = 0;
+    FixedStream s(ops);
+    h.prewarmCode();
+    h.core.bindStream(0, &s);
+
+    std::uint32_t full_cycles = 0;
+    for (Cycle c = 1; h.core.perf(0).committedInsts == 0; ++c) {
+        ASSERT_LT(c, 5000u);
+        h.run(1);
+        if (full_cycles > 0 || h.core.intIqOccupancy(0) == 8) {
+            EXPECT_EQ(h.core.intIqOccupancy(0), 8u) << "cycle " << c;
+            ++full_cycles;
+        }
+    }
+    EXPECT_GT(full_cycles, 30u);
+}
+
+TEST(SmtCore, FetchStallSpanOpensWhenFetchStops)
+{
+    // Cycle 1's fetch misses the I-cache, so from cycle 2 on no thread
+    // can fetch.  A traced core must open the stall span on cycle 2,
+    // even though fetch has nothing to rank until the fill returns.
+    const std::string path =
+        std::string("smt_core_test.") +
+        testing::UnitTest::GetInstance()->current_test_info()->name() +
+        ".trace.json";
+    {
+        Tracer tracer(path);
+        CoreHarness h(oneThread());
+        FixedStream s(alu());
+        h.core.setTracer(&tracer);
+        h.core.bindStream(0, &s);
+        h.run(20);
+    }  // the tracer writes the file when it goes out of scope
+    std::ifstream in(path);
+    std::string line;
+    std::string begin;
+    while (std::getline(in, line)) {
+        if (line.find("\"fetch-stall\"") != std::string::npos &&
+            line.find("\"ph\":\"b\"") != std::string::npos)
+            begin = line;
+    }
+    std::remove(path.c_str());
+    EXPECT_NE(begin.find("\"ts\":2,"), std::string::npos) << begin;
+}
+
 TEST(SmtCore, IntIssueActiveCyclesTracked)
 {
     CoreHarness h(oneThread());
@@ -358,6 +527,67 @@ TEST(SmtCoreNextEvent, NeverSleepsThroughACommit)
     }
     EXPECT_TRUE(saw_core_event);
     EXPECT_GT(committed, 0u);
+}
+
+TEST(SmtCoreNextEvent, ReadyButPortBlockedLoadIsActionable)
+{
+    // A DRAM miss at the ROB head holds commit, the load queue fills
+    // behind it, and the fetch queue backs up: dispatch, fetch and
+    // commit all stall.  The L1-hit loads still queue for the two
+    // cache ports, so some sit dep-ready but port-blocked, and each
+    // cycle that issues one must have been announced.
+    CoreHarness h(oneThread());
+    MicroOp cold;
+    cold.cls = OpClass::Load;
+    cold.effAddr = 0x2000'0000;
+    MicroOp hot = cold;
+    hot.effAddr = 0x1000'0000;
+    std::vector<MicroOp> ops(1000, hot);
+    ops[0] = cold;
+    FixedStream s(ops);
+    h.hierarchy.prewarmLine(0, hot.effAddr, true);
+    h.prewarmCode();
+    h.core.bindStream(0, &s);
+
+    std::uint64_t loads = 0;
+    std::uint32_t blocked_issues = 0;
+    for (Cycle c = 1; c <= 2000; ++c) {
+        const Cycle core_next = h.core.nextEventAt(c - 1);
+        const std::uint32_t rob_before = h.core.robOccupancy(0);
+        h.run(1);
+        const std::uint64_t now_loads = h.core.perf(0).loads;
+        if (now_loads > loads) {
+            EXPECT_LE(core_next, c) << "load issue at " << c
+                                    << " was not announced";
+            // Nothing dispatched or committed: only issue acted.
+            if (h.core.robOccupancy(0) == rob_before &&
+                h.core.perf(0).committedInsts == 0)
+                ++blocked_issues;
+        }
+        loads = now_loads;
+    }
+    EXPECT_GT(blocked_issues, 10u);
+    EXPECT_GT(h.core.perf(0).committedInsts, 0u);
+}
+
+TEST(SmtCoreNextEvent, DispatchStalledCoreSleepsUntilDecodeReady)
+{
+    // Cycle 1's fetch misses the I-cache after taking one op into the
+    // decode pipe.  Nothing can happen in the core until that op is
+    // decoded, and dispatch must take it exactly then.
+    const CoreConfig config = oneThread();
+    CoreHarness h(config);
+    FixedStream s(alu());
+    h.core.bindStream(0, &s);
+    h.run(1);
+    const Cycle decoded = 1 + config.decodeStages;
+    EXPECT_EQ(h.core.nextEventAt(1), decoded);
+    for (Cycle c = 2; c < decoded; ++c) {
+        h.run(1);
+        EXPECT_EQ(h.core.robOccupancy(0), 0u) << "cycle " << c;
+    }
+    h.run(1);
+    EXPECT_EQ(h.core.robOccupancy(0), 1u);
 }
 
 TEST(SmtCoreNextEvent, SkipCyclesReplaysIdleTickingExactly)
