@@ -9,7 +9,8 @@ CacheArray::CacheArray(const CacheLevelConfig &config, std::string name)
     : config_(config),
       name_(std::move(name)),
       sets_(config.numSets()),
-      lineShift_(floorLog2(config.lineBytes))
+      lineShift_(floorLog2(config.lineBytes)),
+      setShift_(floorLog2(sets_))
 {
     fatal_if(!isPowerOfTwo(config_.lineBytes),
              "%s: line size must be a power of 2", name_.c_str());
@@ -28,13 +29,13 @@ CacheArray::setIndex(Addr addr) const
 Addr
 CacheArray::tagOf(Addr addr) const
 {
-    return (addr >> lineShift_) / sets_;
+    return addr >> lineShift_ >> setShift_;
 }
 
 Addr
 CacheArray::lineAddrOf(std::uint64_t set, Addr tag) const
 {
-    return ((tag * sets_) + set) << lineShift_;
+    return ((tag << setShift_) | set) << lineShift_;
 }
 
 CacheArray::Line *
@@ -67,15 +68,22 @@ CacheArray::probe(Addr addr) const
 bool
 CacheArray::access(Addr addr, bool make_dirty)
 {
+    if (hitAccess(addr, make_dirty))
+        return true;
+    demand_.miss();
+    return false;
+}
+
+bool
+CacheArray::hitAccess(Addr addr, bool make_dirty)
+{
     if (config_.infinite) {
         demand_.hit();
         return true;
     }
     Line *line = findLine(addr);
-    if (line == nullptr) {
-        demand_.miss();
+    if (line == nullptr)
         return false;
-    }
     line->lastUse = ++useClock_;
     if (make_dirty)
         line->dirty = true;

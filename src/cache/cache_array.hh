@@ -44,6 +44,12 @@ class CacheArray
     bool access(Addr addr, bool make_dirty);
 
     /**
+     * access() on a hit; on a miss, nothing at all (no stats), so a
+     * caller that may yet refuse the miss records it separately.
+     */
+    bool hitAccess(Addr addr, bool make_dirty);
+
+    /**
      * Install the line, evicting the set's LRU victim if needed.
      * The line must not already be present.
      */
@@ -80,6 +86,8 @@ class CacheArray
     std::string name_;
     std::uint64_t sets_;
     unsigned lineShift_;
+    /** log2(sets_): tags and set indices split by shifts. */
+    unsigned setShift_;
     std::vector<Line> lines_;  // sets_ * assoc, row-major by set
     std::uint64_t useClock_ = 0;
     RatioStat demand_;

@@ -107,17 +107,16 @@ Hierarchy::access(AccessKind kind, ThreadId tid, InstSeq seq, Addr vaddr,
 {
     const bool is_fetch = kind == AccessKind::InstFetch;
     Tlb &tlb = is_fetch ? itlb_ : dtlb_;
-    const Cycle tlb_penalty = tlb.lookup(tid, pt_->vpageOf(vaddr));
-    const Addr paddr = pt_->translate(tid, vaddr);
-    const Addr line = lineAlign(paddr);
+    const TlbTranslation xlate = tlb.translate(tid, vaddr, *pt_);
+    const Cycle tlb_penalty = xlate.penalty;
+    const Addr line = lineAlign(xlate.paddr);
 
     CacheArray &l1 = is_fetch ? l1i_ : l1d_;
     std::uint32_t &l1_mshr_used = is_fetch ? mshrUsedL1i_ : mshrUsedL1d_;
 
     AccessResult res;
 
-    if (l1.probe(line)) {
-        l1.access(line, kind == AccessKind::Store);
+    if (l1.hitAccess(line, kind == AccessKind::Store)) {
         res.status = AccessResult::Status::Hit;
         res.latency = l1.config().latency + tlb_penalty;
         return res;

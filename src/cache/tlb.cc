@@ -39,28 +39,41 @@ PageTables::translate(ThreadId tid, Addr vaddr)
 }
 
 Tlb::Tlb(std::uint32_t entries, Cycle miss_penalty)
-    : missPenalty_(miss_penalty), tags_(entries, kEmpty)
+    : missPenalty_(miss_penalty), tags_(entries, kEmpty),
+      frames_(entries, 0)
 {
     fatal_if(entries == 0, "TLB needs at least one entry");
 }
 
-Cycle
-Tlb::lookup(ThreadId tid, Addr vpage)
+TlbTranslation
+Tlb::translate(ThreadId tid, Addr vaddr, PageTables &pt)
 {
-    const std::uint64_t k = key(tid, vpage);
+    const std::uint32_t shift = pt.pageShift();
+    const Addr offset_mask = (Addr{1} << shift) - 1;
+    panic_if(tid >= offset_mask,
+             "thread %u does not fit a TLB tag with %llu-byte pages", tid,
+             (unsigned long long)(offset_mask + 1));
+    const std::uint64_t k = key(tid, vaddr, offset_mask);
     // Recency order makes the hot pages the first few compares.
     auto it = std::find(tags_.begin(), tags_.end(), k);
     const bool hit = it != tags_.end();
     if (!hit)
         it = tags_.end() - 1;  // the LRU entry, or an empty one
+    const auto pos = it - tags_.begin();
+    const Addr frame = frames_[pos];
     std::copy_backward(tags_.begin(), it, it + 1);
+    std::copy_backward(frames_.begin(), frames_.begin() + pos,
+                       frames_.begin() + pos + 1);
     tags_.front() = k;
     if (hit) {
         stats_.hit();
-        return 0;
+        frames_.front() = frame;
+        return {(frame << shift) | (vaddr & offset_mask), 0};
     }
     stats_.miss();
-    return missPenalty_;
+    const Addr paddr = pt.translate(tid, vaddr);
+    frames_.front() = paddr >> shift;
+    return {paddr, missPenalty_};
 }
 
 } // namespace smtdram

@@ -67,39 +67,53 @@ class PageTables
     std::function<Addr(ThreadId)> frameSource_;
 };
 
+/** A translation made through a TLB. */
+struct TlbTranslation {
+    Addr paddr;
+    Cycle penalty;  ///< 0 on a hit, the miss penalty on a miss
+};
+
 /**
  * One TLB (I or D): thread-tagged, fully associative, true LRU.
  * A fixed array of tags kept in recency order, most recent first: a
  * lookup moves its tag to the front, and a miss drops the last tag
- * (empty entries sit at the back, so they fill first).
+ * (empty entries sit at the back, so they fill first).  Each entry
+ * carries its frame, so a hit needs no page-table walk.  Mappings
+ * never change once made, and a page's first touch always misses, so
+ * walking only on misses allocates frames in the same order.
  */
 class Tlb
 {
   public:
     Tlb(std::uint32_t entries, Cycle miss_penalty);
 
-    /**
-     * Record a lookup of (tid, vpage).
-     * @return extra cycles to charge (0 on hit, missPenalty on miss).
-     */
-    Cycle lookup(ThreadId tid, Addr vpage);
+    /** Translate @p vaddr of @p tid, walking @p pt on a miss. */
+    TlbTranslation translate(ThreadId tid, Addr vaddr, PageTables &pt);
 
     const RatioStat &stats() const { return stats_; }
     void resetStats() { stats_.reset(); }
 
   private:
+    /**
+     * The tag of (tid, page of @p vaddr): the page's address bits with
+     * the thread id in the page-offset bits.  Distinct pairs get
+     * distinct tags for any 64-bit address as long as tid is below
+     * the offset mask (checked), which also keeps tags off kEmpty.
+     */
     static std::uint64_t
-    key(ThreadId tid, Addr vpage)
+    key(ThreadId tid, Addr vaddr, Addr offset_mask)
     {
-        return (static_cast<std::uint64_t>(tid) << 48) | vpage;
+        return (vaddr & ~offset_mask) | tid;
     }
 
-    /** Tag of an empty entry; no real (tid, vpage) pair produces it. */
+    /** Tag of an empty entry; no real (tid, page) pair produces it. */
     static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
 
     Cycle missPenalty_;
     /** Sized at construction and never resized. */
     std::vector<std::uint64_t> tags_;
+    /** frames_[i] is the frame of tags_[i]. */
+    std::vector<Addr> frames_;
     RatioStat stats_;
 };
 

@@ -59,6 +59,18 @@ execLatency(OpClass c)
     return 1;
 }
 
+/** Longest execLatency() of any class. */
+constexpr Cycle
+maxExecLatency()
+{
+    Cycle longest = 0;
+    for (int c = 0; c <= static_cast<int>(OpClass::Branch); ++c) {
+        const Cycle lat = execLatency(static_cast<OpClass>(c));
+        longest = lat > longest ? lat : longest;
+    }
+    return longest;
+}
+
 /** One instruction as produced by a workload generator. */
 struct MicroOp {
     OpClass cls = OpClass::IntAlu;

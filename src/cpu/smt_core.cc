@@ -39,6 +39,9 @@ SmtCore::SmtCore(const CoreConfig &config, Hierarchy &hierarchy)
                    config.archRegsPerThread * config.numThreads),
       freeFpRegs_(config.fpRegs -
                   config.archRegsPerThread * config.numThreads),
+      completions_(maxExecLatency() + hierarchy.config().l1d.latency +
+                       hierarchy.config().tlbMissPenalty,
+                   config.numThreads * config.robPerThread),
       robHighWater_(config.numThreads, 0),
       intIqHighWater_(config.numThreads, 0),
       fetchStallSince_(config.numThreads, kCycleNever)
@@ -274,11 +277,13 @@ SmtCore::markCompleted(ThreadId tid, InstSeq seq, Cycle now)
 void
 SmtCore::completeStage(Cycle now)
 {
-    while (!completions_.empty() && completions_.top().when <= now) {
-        const Completion c = completions_.top();
-        completions_.pop();
-        markCompleted(c.tid, c.seq, now);
-    }
+    // Same-cycle completions arrive in no particular order, which
+    // markCompleted() does not depend on (DESIGN.md section 11).
+    completions_.drain(now, [this, now](std::uint32_t id) {
+        const ThreadId tid = id / config_.robPerThread;
+        markCompleted(tid, threads_[tid].rob[id % config_.robPerThread].seq,
+                      now);
+    });
 }
 
 // --------------------------------------------------------------------
@@ -332,14 +337,14 @@ SmtCore::issueStage(Cycle now)
                 --ports;
                 // A miss completes through the fill callback.
                 if (r.status == AccessResult::Status::Hit) {
-                    completions_.push(Completion{
-                        now + execLatency(cls) + r.latency, e.tid,
-                        e.seq});
+                    completions_.schedule(
+                        now + execLatency(cls) + r.latency,
+                        completionId(e.tid, e.seq));
                 }
                 ++perf_[e.tid].loads;
             } else {
-                completions_.push(
-                    Completion{now + execLatency(cls), e.tid, e.seq});
+                completions_.schedule(now + execLatency(cls),
+                                      completionId(e.tid, e.seq));
                 if (cls == OpClass::Store)
                     ++perf_[e.tid].stores;
             }
@@ -664,9 +669,7 @@ SmtCore::nextEventAt(Cycle now) const
         !fpIq_.ready.empty())
         return now + 1;
 
-    Cycle next = kCycleNever;
-    if (!completions_.empty())
-        next = std::min(next, completions_.top().when);
+    Cycle next = completions_.next();
 
     for (ThreadId tid = 0; tid < config_.numThreads; ++tid) {
         const ThreadState &t = threads_[tid];

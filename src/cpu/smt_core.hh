@@ -24,7 +24,6 @@
 #define SMTDRAM_CPU_SMT_CORE_HH
 
 #include <cstdint>
-#include <queue>
 #include <vector>
 
 #include "cache/hierarchy.hh"
@@ -33,6 +32,7 @@
 #include "common/trace_event.hh"
 #include "common/types.hh"
 #include "cpu/branch_predictor.hh"
+#include "cpu/completion_wheel.hh"
 #include "cpu/cpu_config.hh"
 #include "cpu/fetch_policy.hh"
 #include "cpu/instruction.hh"
@@ -165,6 +165,10 @@ class SmtCore
     void setTracer(Tracer *tracer);
 
   private:
+    /** Unit tests deliver completions by hand to pin that their
+     *  order within a cycle does not matter. */
+    friend struct SmtCoreTestPeer;
+
     // ------------------------------------------------------------------
     /** A fetched instruction waiting in the decode pipe. */
     struct FetchedInst {
@@ -241,6 +245,14 @@ class SmtCore
     DynInst &robSlot(ThreadId tid, InstSeq seq);
     const DynInst &robSlot(ThreadId tid, InstSeq seq) const;
 
+    /** The completion-wheel id of (@p tid, @p seq)'s ROB slot. */
+    std::uint32_t
+    completionId(ThreadId tid, InstSeq seq) const
+    {
+        return tid * config_.robPerThread +
+               static_cast<std::uint32_t>(seq & (config_.robPerThread - 1));
+    }
+
     void markCompleted(ThreadId tid, InstSeq seq, Cycle now);
 
     void onMissComplete(ThreadId tid, InstSeq seq, AccessKind kind,
@@ -297,21 +309,9 @@ class SmtCore
     std::uint32_t lqUsed_ = 0;
     std::uint32_t sqUsed_ = 0;
 
-    /** FU completion events: (cycle, tid, seq). */
-    struct Completion {
-        Cycle when;
-        ThreadId tid;
-        InstSeq seq;
-
-        bool
-        operator>(const Completion &o) const
-        {
-            return when > o.when;
-        }
-    };
-    std::priority_queue<Completion, std::vector<Completion>,
-                        std::greater<>>
-        completions_;
+    /** FU completions, by ROB slot (tid * robPerThread + ring index);
+     *  a load that misses completes through the fill callback. */
+    CompletionWheel completions_;
 
     /** Retired stores on their way to the L1D. */
     struct PendingStore {

@@ -143,11 +143,8 @@ DramSystem::enqueueRead(Addr addr, ThreadId thread,
         req.remoteUntil = remote_until;
         req.notBefore = remote_until;
     }
-    if (thread != kThreadNone) {
-        if (thread >= perThreadOutstanding_.size())
-            perThreadOutstanding_.resize(thread + 1, 0);
-        ++perThreadOutstanding_[thread];
-    }
+    if (thread != kThreadNone)
+        readCounts_.add(thread);
     if (checker_)
         checker_->onEnqueue(req, now);
     controllers_[req.coord.channel].enqueue(req);
@@ -236,11 +233,8 @@ DramSystem::tick(Cycle now)
         // callback.
         if (req.op != MemOp::Read || req.scrub || req.mitigation)
             continue;
-        if (req.thread != kThreadNone &&
-            req.thread < perThreadOutstanding_.size()) {
-            panic_if(perThreadOutstanding_[req.thread] == 0,
-                     "per-thread outstanding underflow");
-            --perThreadOutstanding_[req.thread];
+        if (req.thread != kThreadNone) {
+            readCounts_.remove(req.thread);
             if (req.thread >= perThreadReads_.size())
                 perThreadReads_.resize(req.thread + 1, 0);
             ++perThreadReads_[req.thread];
@@ -299,17 +293,6 @@ size_t
 DramSystem::outstandingRequests() const
 {
     return outstanding_;
-}
-
-std::uint32_t
-DramSystem::distinctThreadsOutstanding() const
-{
-    std::uint32_t n = 0;
-    for (auto c : perThreadOutstanding_) {
-        if (c > 0)
-            ++n;
-    }
-    return n;
 }
 
 std::uint32_t

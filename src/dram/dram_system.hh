@@ -17,6 +17,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/logging.hh"
 #include "dram/address_mapping.hh"
 #include "dram/checker.hh"
 #include "dram/dram_config.hh"
@@ -27,6 +28,46 @@
 
 namespace smtdram
 {
+
+/**
+ * Demand reads outstanding per thread, and how many threads have any
+ * (the Figure 5 quantity), kept on each count's 0 <-> 1 transitions so
+ * reading it is O(1).  A DramSystem counts its own reads in one; the
+ * SocketRouter counts every socket's in another, for the machine.
+ */
+class ThreadReadCounts
+{
+  public:
+    void
+    add(ThreadId thread)
+    {
+        if (thread >= perThread_.size())
+            perThread_.resize(thread + 1, 0);
+        if (perThread_[thread]++ == 0)
+            ++distinct_;
+    }
+
+    void
+    remove(ThreadId thread)
+    {
+        panic_if(thread >= perThread_.size() || perThread_[thread] == 0,
+                 "per-thread outstanding underflow");
+        if (--perThread_[thread] == 0)
+            --distinct_;
+    }
+
+    /** Outstanding reads per thread id (sized to the largest seen). */
+    const std::vector<std::uint32_t> &perThread() const
+    {
+        return perThread_;
+    }
+
+    std::uint32_t distinct() const { return distinct_; }
+
+  private:
+    std::vector<std::uint32_t> perThread_;
+    std::uint32_t distinct_ = 0;
+};
 
 /** Multi-channel DRAM system facade. */
 class DramSystem : public MemoryPort
@@ -117,15 +158,15 @@ class DramSystem : public MemoryPort
     /** Queued + in-flight requests across all channels. */
     size_t outstandingRequests() const;
 
-    /** Outstanding thread-owned (read) requests per thread id. */
-    const std::vector<std::uint32_t> &
-    outstandingPerThread() const
-    {
-        return perThreadOutstanding_;
-    }
+    /** Outstanding demand reads of this system, per thread. */
+    const ThreadReadCounts &readCounts() const { return readCounts_; }
 
     /** Number of distinct threads with outstanding requests. */
-    std::uint32_t distinctThreadsOutstanding() const;
+    std::uint32_t
+    distinctThreadsOutstanding() const
+    {
+        return readCounts_.distinct();
+    }
 
     const DramConfig &config() const { return config_; }
     const AddressMapping &mapping() const { return mapping_; }
@@ -224,7 +265,7 @@ class DramSystem : public MemoryPort
     std::vector<MemoryController> controllers_;
     ReadCallback readCallback_;
     std::uint64_t nextId_ = 1;
-    std::vector<std::uint32_t> perThreadOutstanding_;
+    ThreadReadCounts readCounts_;
     std::vector<std::uint64_t> perThreadReads_;
     /** Queued + in-flight across all controllers, maintained at the
      *  enqueue/completion boundaries so the per-cycle busy() and

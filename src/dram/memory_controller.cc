@@ -167,6 +167,7 @@ MemoryController::enqueue(DramRequest req)
     entry.notBefore = req.notBefore;
     entry.h = pool_.alloc(std::move(req));
     queue->push_back(entry);
+    issueWakeAt_ = 0;  // the sleeping gather never saw this entry
 }
 
 void
@@ -265,18 +266,20 @@ MemoryController::accountBusGate(Cycle now, BlameComponent cause,
 void
 MemoryController::gatherCandidates(const std::vector<QueuedRef> &queue,
                                    CandidateSource source, Cycle now,
-                                   std::vector<SchedCandidate> &out) const
+                                   std::vector<SchedCandidate> &out,
+                                   Cycle &wake) const
 {
     // The filters run on the entry's cached fields; the pool is
     // dereferenced only for entries that survive them.
     const std::uint32_t n = static_cast<std::uint32_t>(queue.size());
     for (std::uint32_t i = 0; i < n; ++i) {
         const QueuedRef &q = queue[i];
-        if (q.notBefore > now)
-            continue;
         // One bit test against the mask sync()ed at tryIssue entry.
-        if (!banks_.ready(q.bank))
+        if (q.notBefore > now || !banks_.ready(q.bank)) {
+            wake = std::min(wake,
+                            std::max(q.notBefore, banks_.readyAt[q.bank]));
             continue;
+        }
         SchedCandidate c;
         c.req = &pool_.at(q.h);
         c.rowHit = table_.openMode && banks_.rowHit(q.bank, q.row);
@@ -289,19 +292,20 @@ MemoryController::gatherCandidates(const std::vector<QueuedRef> &queue,
 
 void
 MemoryController::gatherScrubCandidates(
-    Cycle now, bool escalated_only,
-    std::vector<SchedCandidate> &out) const
+    Cycle now, bool escalated_only, std::vector<SchedCandidate> &out,
+    Cycle &wake) const
 {
     const Cycle deadline = table_.scrubDeadline;
     const std::uint32_t n =
         static_cast<std::uint32_t>(scrubQueue_.size());
     for (std::uint32_t i = 0; i < n; ++i) {
         const QueuedRef &q = scrubQueue_[i];
-        if (q.notBefore > now)
+        if (q.notBefore > now || !banks_.ready(q.bank)) {
+            wake = std::min(wake,
+                            std::max(q.notBefore, banks_.readyAt[q.bank]));
             continue;
+        }
         if (escalated_only && now - q.arrival <= deadline)
-            continue;
-        if (!banks_.ready(q.bank))
             continue;
         SchedCandidate c;
         c.req = &pool_.at(q.h);
@@ -329,6 +333,11 @@ MemoryController::tryIssue(Cycle now)
     else if (writeQueue_.size() <= config_.writeLowWatermark)
         drainingWrites_ = false;
 
+    // Asleep: the last gather found no candidate, and none can appear
+    // before issueWakeAt_ (see the member's invariant).
+    if (now < issueWakeAt_)
+        return;
+
     // Nothing queued anywhere: the gathers below would all come back
     // empty, so skip the mask sync and scratch churn entirely.
     if (readQueue_.empty() && writeQueue_.empty() &&
@@ -349,29 +358,38 @@ MemoryController::tryIssue(Cycle now)
     // allocate (capacity persists across calls).
     std::vector<SchedCandidate> &candidates = candidateScratch_;
     candidates.clear();
+    // Earliest cycle a filtered-out entry could pass the filters.
+    Cycle wake = kCycleNever;
     gatherCandidates(readQueue_, CandidateSource::ReadQueue, now,
-                     candidates);
+                     candidates, wake);
     // Preventive refreshes compete at demand priority: Graphene must
     // beat the aggressor to the hammer threshold, so its refreshes
     // cannot wait for an idle channel the attacker never yields.
     if (!mitigationQueue_.empty()) {
         gatherCandidates(mitigationQueue_,
                          CandidateSource::MitigationQueue, now,
-                         candidates);
+                         candidates, wake);
     }
     // A scrub read stale past its deadline competes with demand.
-    if (!scrubQueue_.empty())
-        gatherScrubCandidates(now, /*escalated_only=*/true, candidates);
+    if (!scrubQueue_.empty()) {
+        gatherScrubCandidates(now, /*escalated_only=*/true, candidates,
+                              wake);
+    }
     // Writes compete only when draining or when no read could go.
     if (drainingWrites_ || candidates.empty())
         gatherCandidates(writeQueue_, CandidateSource::WriteQueue, now,
-                         candidates);
+                         candidates, wake);
     // Fresh scrub reads take whatever cycles nothing else wants.
     if (candidates.empty())
-        gatherScrubCandidates(now, /*escalated_only=*/false,
-                              candidates);
-    if (candidates.empty())
+        gatherScrubCandidates(now, /*escalated_only=*/false, candidates,
+                              wake);
+    if (candidates.empty()) {
+        // Every queue was scanned in full and every entry filtered
+        // out, so `wake` is the minimum over all of them.
+        issueWakeAt_ = wake;
         return;
+    }
+    issueWakeAt_ = 0;  // the launch below moves a bank and an entry
 
     const size_t queued = readQueue_.size() + writeQueue_.size() +
                           scrubQueue_.size() + mitigationQueue_.size();
@@ -686,6 +704,7 @@ MemoryController::serviceRefresh(Cycle now)
                 banks_.openRow[bank_index] = BankStateSoA::kNoRow;
                 banks_.readyAt[bank_index] = now + exit_lat + duration;
                 banks_.markBusy(bank_index);
+                issueWakeAt_ = 0;  // may have been this bank's readyAt
                 // Blame: the whole window (wake included) stalls any
                 // queued same-bank request as refresh.
                 banks_.busyCause[bank_index] =
@@ -777,6 +796,7 @@ MemoryController::retire(Cycle now, std::vector<DramRequest> &completed)
                 entry.notBefore = req.notBefore;
                 (req.scrub ? scrubQueue_ : readQueue_)
                     .push_back(entry);
+                issueWakeAt_ = 0;
                 continue;
             }
             ++stats_.retriesExhausted;
@@ -933,9 +953,14 @@ MemoryController::nextEventAt(Cycle now) const
     // state; anything that changes it earlier (a retire, a refresh)
     // is already in the min above.  Candidates clamp to now + 1
     // because tryIssue launches at most one transaction per cycle.
+    // A set issue gate already holds the min over the queues of
+    // max(notBefore, readyAt), and max with the shared clamps
+    // commutes with that min.
     const Cycle bus_gate = busFreeAt_ > table_.maxBusLead
                                ? busFreeAt_ - table_.maxBusLead
                                : 0;
+    if (issueWakeAt_ != 0)
+        return std::min(next, std::max({issueWakeAt_, bus_gate, now + 1}));
     const auto queue_next = [&](const std::vector<QueuedRef> &queue) {
         for (const QueuedRef &q : queue) {
             Cycle t = std::max(q.notBefore, banks_.readyAt[q.bank]);

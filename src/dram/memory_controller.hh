@@ -351,18 +351,25 @@ class MemoryController
     /** Launch the best eligible transaction, if any. */
     void tryIssue(Cycle now);
 
-    /** Collect policy candidates from @p queue, tagged @p source. */
+    /**
+     * Collect policy candidates from @p queue, tagged @p source.
+     * Lowers @p wake to max(notBefore, readyAt) of every entry the
+     * notBefore/bank filters reject.
+     */
     void gatherCandidates(const std::vector<QueuedRef> &queue,
                           CandidateSource source, Cycle now,
-                          std::vector<SchedCandidate> &out) const;
+                          std::vector<SchedCandidate> &out,
+                          Cycle &wake) const;
 
     /**
      * Collect scrub candidates.  With @p escalated_only, include only
      * scrub reads stale enough to outrank demand traffic (bounded
      * staleness keeps patrol progress under sustained demand load).
+     * @p wake as for gatherCandidates().
      */
     void gatherScrubCandidates(Cycle now, bool escalated_only,
-                               std::vector<SchedCandidate> &out) const;
+                               std::vector<SchedCandidate> &out,
+                               Cycle &wake) const;
 
     /** Execute the chosen request's timing (in place in the pool). */
     void launch(ReqHandle h, Cycle now);
@@ -442,6 +449,17 @@ class MemoryController
     /** Launched transactions ordered by completion time. */
     std::vector<InFlightRef> inFlight_;
     bool drainingWrites_ = false;
+    /**
+     * Issue gate: 0, or — after a gather found no candidate — the min
+     * over every queued entry of max(notBefore, readyAt[bank]), which
+     * is then > now.  It stays exactly that min until an entry
+     * arrives (enqueue, fault-retry re-queue) or a bank's readyAt
+     * moves (launch, refresh), each of which clears it: notBefore is
+     * fixed while an entry is queued, and entries leave only by
+     * launching.  tryIssue() sleeps while now < issueWakeAt_; see
+     * DESIGN.md section 16.
+     */
+    Cycle issueWakeAt_ = 0;
 
     /** Reused by tryIssue() so the per-cycle hot path never allocates
      *  once the high-water capacity is reached. */

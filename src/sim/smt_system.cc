@@ -242,16 +242,6 @@ SmtSystem::grandCommitted() const
     return total;
 }
 
-bool
-SmtSystem::dramBusy() const
-{
-    for (const auto &d : drams_) {
-        if (d->busy())
-            return true;
-    }
-    return false;
-}
-
 std::size_t
 SmtSystem::dramOutstanding() const
 {
@@ -259,23 +249,6 @@ SmtSystem::dramOutstanding() const
     for (const auto &d : drams_)
         total += d->outstandingRequests();
     return total;
-}
-
-std::uint32_t
-SmtSystem::distinctThreadsOutstanding() const
-{
-    std::uint32_t distinct = 0;
-    for (std::uint32_t t = 0; t < config_.core.numThreads; ++t) {
-        std::uint32_t outstanding = 0;
-        for (const auto &d : drams_) {
-            const auto &per = d->outstandingPerThread();
-            if (t < per.size())
-                outstanding += per[t];
-        }
-        if (outstanding > 0)
-            ++distinct;
-    }
-    return distinct;
 }
 
 std::vector<std::uint64_t>
@@ -997,16 +970,16 @@ SmtSystem::run(std::uint64_t measure_insts, std::uint64_t warmup_insts)
                                  lastEpochAt_ + config_.observe.epoch);
             }
             const std::uint64_t skipped = skipToNextEvent(clamp);
-            if (skipped > 0 && dramBusy()) {
-                // Interval-weighted Figure 4/5 sampling: the DRAM
-                // state is frozen across the skipped window, so the
-                // per-cycle kernel would have recorded these exact
-                // values once per skipped cycle.
-                const size_t outstanding = dramOutstanding();
+            // Interval-weighted Figure 4/5 sampling: the DRAM state is
+            // frozen across the skipped window, so the per-cycle
+            // kernel would have recorded these exact values once per
+            // skipped cycle.
+            if (const size_t outstanding = dramOutstanding();
+                skipped > 0 && outstanding > 0) {
                 res.outstandingHist.sample(outstanding, skipped);
                 if (outstanding >= 2) {
                     res.threadsHist.sample(
-                        distinctThreadsOutstanding(), skipped);
+                        router_->readCounts().distinct(), skipped);
                 }
             }
         }
@@ -1021,11 +994,10 @@ SmtSystem::run(std::uint64_t measure_insts, std::uint64_t warmup_insts)
         }
 
         // Figures 4 and 5: sample while the DRAM system is busy.
-        if (dramBusy()) {
-            const size_t outstanding = dramOutstanding();
+        if (const size_t outstanding = dramOutstanding(); outstanding > 0) {
             res.outstandingHist.sample(outstanding);
             if (outstanding >= 2)
-                res.threadsHist.sample(distinctThreadsOutstanding());
+                res.threadsHist.sample(router_->readCounts().distinct());
         }
 
         // Per-thread finish times only move on a cycle where some

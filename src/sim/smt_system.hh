@@ -158,9 +158,7 @@ class SmtSystem
     std::uint32_t totalChannels() const;
     std::uint64_t committedOf(ThreadId tid) const;
     std::uint64_t grandCommitted() const;
-    bool dramBusy() const;
     std::size_t dramOutstanding() const;
-    std::uint32_t distinctThreadsOutstanding() const;
     std::vector<std::uint64_t> perThreadReads() const;
 
     // --- OS scheduler: epoch migration engine ----------------------

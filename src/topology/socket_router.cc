@@ -55,8 +55,11 @@ SocketRouter::read(std::uint32_t core, Addr addr, ThreadId thread,
     } else {
         ++stats_.localReads;
     }
-    if (thread != kThreadNone && thread < readsToSocket_.size())
-        ++readsToSocket_[thread][home];
+    if (thread != kThreadNone) {
+        readCounts_.add(thread);
+        if (thread < readsToSocket_.size())
+            ++readsToSocket_[thread][home];
+    }
 
     return drams_[home]->enqueueRead(local, thread, snap, now, critical,
                                      remote_until, core);
@@ -93,6 +96,8 @@ SocketRouter::onComplete(std::uint32_t home, const DramRequest &req)
     panic_if(core >= deliver_.size(),
              "socket %u delivered read id %llu for core %u, which "
              "does not exist", home, (unsigned long long)req.id, core);
+    if (req.thread != kThreadNone)
+        readCounts_.remove(req.thread);
 
     const std::uint32_t dst = socketOf(core);
     DramRequest out = req;

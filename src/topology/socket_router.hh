@@ -145,6 +145,10 @@ class SocketRouter
         return readsToSocket_[thread];
     }
 
+    /** Demand reads outstanding per thread over every socket — the
+     *  machine's Figure 5 sample. */
+    const ThreadReadCounts &readCounts() const { return readCounts_; }
+
     std::uint32_t
     socketOf(std::uint32_t core) const
     {
@@ -171,6 +175,7 @@ class SocketRouter
     NumaStats stats_;
     InterferenceMatrix linkInterference_;
     std::vector<std::vector<std::uint64_t>> readsToSocket_;
+    ThreadReadCounts readCounts_;
 
     void onComplete(std::uint32_t home, const DramRequest &req);
 };

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "cache/cache_array.hh"
 
 namespace smtdram
@@ -140,6 +143,54 @@ TEST(CacheArray, Table1Geometries)
     EXPECT_EQ(CacheArray(l1, "L1").numSets(), 512u);
     EXPECT_EQ(CacheArray(l2, "L2").numSets(), 4096u);
     EXPECT_EQ(CacheArray(l3, "L3").numSets(), 16384u);
+}
+
+TEST(CacheArray, VictimLineAddrRoundTrips)
+{
+    // Filling a set one line past its ways evicts the first line
+    // inserted, whose address the array rebuilds from (set, tag):
+    // it must come back exactly, high tag bits included.
+    for (const std::uint64_t sets : {1u, 2u, 64u, 65536u}) {
+        for (const std::uint32_t assoc : {1u, 2u, 4u}) {
+            CacheLevelConfig c;
+            c.sizeBytes = sets * assoc * 64;
+            c.assoc = assoc;
+            c.lineBytes = 64;
+            CacheArray cache(c, "rt");
+            ASSERT_EQ(cache.numSets(), sets);
+            std::vector<std::uint64_t> probe_sets{0, sets / 2, sets - 1};
+            probe_sets.erase(
+                std::unique(probe_sets.begin(), probe_sets.end()),
+                probe_sets.end());
+            for (const std::uint64_t set : probe_sets) {
+                const auto line = [&](std::uint64_t tag) -> Addr {
+                    return (tag * sets + set) * 64;
+                };
+                const std::uint64_t base = 0x1234'5678'9ULL + set;
+                for (std::uint32_t w = 0; w < assoc; ++w)
+                    ASSERT_FALSE(cache.insert(line(base + w), false).valid);
+                const CacheArray::Victim v =
+                    cache.insert(line(base + assoc), false);
+                ASSERT_TRUE(v.valid);
+                EXPECT_EQ(v.lineAddr, line(base))
+                    << sets << " sets, " << assoc << " ways, set " << set;
+                EXPECT_TRUE(cache.probe(line(base + assoc)));
+                EXPECT_FALSE(cache.probe(line(base)));
+            }
+        }
+    }
+}
+
+TEST(CacheArray, HitAccessLeavesMissesUncounted)
+{
+    CacheArray cache(tiny(), "t");
+    EXPECT_FALSE(cache.hitAccess(addrOf(0, 1), false));
+    EXPECT_EQ(cache.demandStats().total(), 0u);
+    cache.insert(addrOf(0, 1), false);
+    EXPECT_TRUE(cache.hitAccess(addrOf(0, 1), true));
+    EXPECT_EQ(cache.demandStats().hits(), 1u);
+    // The hit dirtied the line, like access(..., true) would.
+    EXPECT_TRUE(cache.invalidate(addrOf(0, 1)).dirty);
 }
 
 TEST(CacheArrayDeathTest, DoubleInsertPanics)

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <list>
 #include <utility>
+#include <vector>
 
 #include "cache/tlb.hh"
 #include "common/random.hh"
@@ -58,49 +59,64 @@ TEST(PageTables, InterleavedTouchesInterleaveFrames)
     EXPECT_EQ(a1 / 8192, 2u);
 }
 
+/** A TLB and the page tables it walks on a miss. */
+struct TlbRig {
+    explicit TlbRig(std::uint32_t entries) : tlb(entries, 30) {}
+
+    /** Translate page @p vpage of @p tid; returns the penalty. */
+    Cycle
+    lookup(ThreadId tid, Addr vpage)
+    {
+        return tlb.translate(tid, vpage << pt.pageShift(), pt).penalty;
+    }
+
+    PageTables pt{8192, 4};
+    Tlb tlb;
+};
+
 TEST(Tlb, HitAfterMiss)
 {
-    Tlb tlb(4, 30);
-    EXPECT_EQ(tlb.lookup(0, 100), 30u);
-    EXPECT_EQ(tlb.lookup(0, 100), 0u);
-    EXPECT_EQ(tlb.stats().hits(), 1u);
-    EXPECT_EQ(tlb.stats().misses(), 1u);
+    TlbRig r(4);
+    EXPECT_EQ(r.lookup(0, 100), 30u);
+    EXPECT_EQ(r.lookup(0, 100), 0u);
+    EXPECT_EQ(r.tlb.stats().hits(), 1u);
+    EXPECT_EQ(r.tlb.stats().misses(), 1u);
 }
 
 TEST(Tlb, ThreadTagged)
 {
-    Tlb tlb(4, 30);
-    tlb.lookup(0, 100);
+    TlbRig r(4);
+    r.lookup(0, 100);
     // Same vpage from another thread is a distinct entry.
-    EXPECT_EQ(tlb.lookup(1, 100), 30u);
+    EXPECT_EQ(r.lookup(1, 100), 30u);
 }
 
 TEST(Tlb, LruEviction)
 {
-    Tlb tlb(2, 30);
-    tlb.lookup(0, 1);
-    tlb.lookup(0, 2);
-    tlb.lookup(0, 1);  // 1 is MRU
-    tlb.lookup(0, 3);  // evicts 2
-    EXPECT_EQ(tlb.lookup(0, 1), 0u);
-    EXPECT_EQ(tlb.lookup(0, 2), 30u);
+    TlbRig r(2);
+    r.lookup(0, 1);
+    r.lookup(0, 2);
+    r.lookup(0, 1);  // 1 is MRU
+    r.lookup(0, 3);  // evicts 2
+    EXPECT_EQ(r.lookup(0, 1), 0u);
+    EXPECT_EQ(r.lookup(0, 2), 30u);
 }
 
 TEST(Tlb, CapacityHolds)
 {
-    Tlb tlb(128, 30);
+    TlbRig r(128);
     for (Addr v = 0; v < 128; ++v)
-        tlb.lookup(0, v);
+        r.lookup(0, v);
     for (Addr v = 0; v < 128; ++v)
-        EXPECT_EQ(tlb.lookup(0, v), 0u) << v;
+        EXPECT_EQ(r.lookup(0, v), 0u) << v;
 }
 
 TEST(Tlb, ResetStats)
 {
-    Tlb tlb(4, 30);
-    tlb.lookup(0, 1);
-    tlb.resetStats();
-    EXPECT_EQ(tlb.stats().total(), 0u);
+    TlbRig r(4);
+    r.lookup(0, 1);
+    r.tlb.resetStats();
+    EXPECT_EQ(r.tlb.stats().total(), 0u);
 }
 
 /**
@@ -140,8 +156,13 @@ class TlbDifferential : public testing::TestWithParam<std::uint32_t>
 TEST_P(TlbDifferential, MatchesReferenceLru)
 {
     const std::uint32_t entries = GetParam();
-    Tlb tlb(entries, 30);
+    TlbRig r(entries);
+    Tlb &tlb = r.tlb;
     ReferenceLru ref(entries);
+    // Walked on every lookup: a hit's cached frame must equal the
+    // mapping, and walking the TLB's own tables only on misses must
+    // hand out frames in the same first-touch order.
+    PageTables ref_pt(8192, 4);
     Rng rng(entries * 7919 + 1);
     // Four threads whose pages together number about 1.5x the
     // capacity, half the lookups on a hot quarter of them, so hits,
@@ -157,12 +178,59 @@ TEST_P(TlbDifferential, MatchesReferenceLru)
                                     : rng.below(pages);
         }
         const bool hit = ref.lookup(tid, vpage);
-        ASSERT_EQ(tlb.lookup(tid, vpage), hit ? 0u : 30u)
+        const Addr vaddr = (vpage << 13) | (static_cast<Addr>(i) & 8191);
+        const TlbTranslation x = tlb.translate(tid, vaddr, r.pt);
+        ASSERT_EQ(x.penalty, hit ? 0u : 30u)
             << "lookup " << i << " (thread " << tid << ", vpage "
             << vpage << ")";
+        ASSERT_EQ(x.paddr, ref_pt.translate(tid, vaddr))
+            << "lookup " << i << (hit ? " (hit)" : " (miss)");
     }
+    EXPECT_EQ(r.pt.framesAllocated(), ref_pt.framesAllocated());
     EXPECT_GT(tlb.stats().hits(), 0u);
     EXPECT_GT(tlb.stats().misses(), entries);
+}
+
+TEST_P(TlbDifferential, PagesOfDifferentThreadsNeverShareATag)
+{
+    // Pages that would collide under a (tid << 48 | vpage) tag: thread
+    // 0's page at or above 2^61 and thread 1's page with the same low
+    // 48 page bits, plus kernel-half addresses and the very last page.
+    // Each (thread, page) must keep its own entry and frame.
+    TlbRig r(GetParam());
+    ReferenceLru ref(GetParam());
+    PageTables ref_pt(8192, 4);
+    const Addr low = 0x1234;
+    const std::vector<std::pair<ThreadId, Addr>> touches = {
+        {1, low << 13},
+        {0, ((Addr{1} << 48) | low) << 13},
+        {0, low << 13},
+        {1, ((Addr{1} << 48) | low) << 13},
+        {2, 0xffff'8000'0000'0000ULL},
+        {3, 0xffff'ffff'ffff'e000ULL},
+        {2, 0xffff'ffff'ffff'e000ULL},
+    };
+    for (int round = 0; round < 3; ++round) {
+        for (const auto &[tid, vaddr] : touches) {
+            const Addr v = vaddr | static_cast<Addr>(round * 8 + 1);
+            const bool hit = ref.lookup(tid, v >> 13);
+            const TlbTranslation x = r.tlb.translate(tid, v, r.pt);
+            ASSERT_EQ(x.penalty, hit ? 0u : 30u)
+                << "round " << round << ", thread " << tid;
+            ASSERT_EQ(x.paddr, ref_pt.translate(tid, v))
+                << "round " << round << ", thread " << tid;
+        }
+    }
+    EXPECT_EQ(r.pt.framesAllocated(), touches.size());
+}
+
+TEST(TlbDeathTest, ThreadIdMustFitThePageOffset)
+{
+    // With 8-byte pages the offset bits hold thread ids 0..6 only.
+    PageTables pt(8, 8);
+    Tlb tlb(4, 30);
+    tlb.translate(6, 0x40, pt);
+    EXPECT_DEATH(tlb.translate(7, 0x40, pt), "does not fit a TLB tag");
 }
 
 INSTANTIATE_TEST_SUITE_P(Capacities, TlbDifferential,

@@ -6,7 +6,9 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/random.hh"
@@ -15,6 +17,74 @@
 
 namespace smtdram
 {
+
+/** Reaches into SmtCore to deliver completions in a chosen order. */
+struct SmtCoreTestPeer {
+    using Due = std::vector<std::pair<ThreadId, InstSeq>>;
+
+    /** What the core's wheel will deliver at @p now, in its order. */
+    static Due
+    due(const SmtCore &core, Cycle now)
+    {
+        CompletionWheel wheel = core.completions_;
+        Due out;
+        const std::uint32_t rob = core.config_.robPerThread;
+        wheel.drain(now, [&](std::uint32_t id) {
+            const ThreadId tid = id / rob;
+            out.emplace_back(tid, core.threads_[tid].rob[id % rob].seq);
+        });
+        return out;
+    }
+
+    static void
+    complete(SmtCore &core, ThreadId tid, InstSeq seq, Cycle now)
+    {
+        core.markCompleted(tid, seq, now);
+    }
+
+    /** True if completing (@p tid, @p seq) wakes a consumer or ends
+     *  its thread's mispredict stall. */
+    static bool
+    hasEffects(const SmtCore &core, ThreadId tid, InstSeq seq)
+    {
+        const auto &t = core.threads_[tid];
+        return core.robSlot(tid, seq).wakeHead != 0 ||
+               (t.awaitingBranch && t.awaitedBranchSeq == seq);
+    }
+
+    /** Everything markCompleted() can write, as text. */
+    static std::string
+    state(const SmtCore &core)
+    {
+        std::ostringstream os;
+        for (ThreadId tid = 0; tid < core.config_.numThreads; ++tid) {
+            const auto &t = core.threads_[tid];
+            os << "t" << tid << " head=" << t.robHead
+               << " tail=" << t.robTail << " await=" << t.awaitingBranch
+               << "/" << t.awaitedBranchSeq
+               << " resume=" << t.fetchResumeAt << " rob:";
+            for (InstSeq q = t.robHead; q < t.robTail; ++q) {
+                const auto &slot = core.robSlot(tid, q);
+                os << static_cast<int>(slot.state) << "/" << slot.wakeHead
+                   << ",";
+            }
+            os << "\n";
+        }
+        os << "ready int:";
+        for (std::uint32_t id : core.intIq_.ready)
+            os << id << ",";
+        os << " fp:";
+        for (std::uint32_t id : core.fpIq_.ready)
+            os << id << ",";
+        os << "\npending:";
+        for (const auto &e : core.iqFile_)
+            os << e.pending << ",";
+        os << "\ncommitIdle=" << core.commitIdle_
+           << " dispatchWakeAt=" << core.dispatchWakeAt_;
+        return os.str();
+    }
+};
+
 namespace
 {
 
@@ -618,6 +688,154 @@ TEST(SmtCoreNextEvent, SkipCyclesReplaysIdleTickingExactly)
               b.core.perf(0).committedInsts);
     EXPECT_EQ(a.core.perf(1).committedInsts,
               b.core.perf(1).committedInsts);
+}
+
+/** Random mix of dependent ALU/multiply/FP ops and coin-flip
+ *  branches, so completions pile up in the same cycles and wake
+ *  consumers or end mispredict stalls. */
+class RandomDepStream : public InstStream
+{
+  public:
+    explicit RandomDepStream(std::uint64_t seed) : rng_(seed) {}
+
+    MicroOp
+    next() override
+    {
+        MicroOp op;
+        op.pc = pc_;
+        const std::uint64_t r = rng_.below(10);
+        op.cls = r < 5   ? OpClass::IntAlu
+                 : r < 7 ? OpClass::IntMult
+                 : r < 9 ? OpClass::FpAlu
+                         : OpClass::Branch;
+        op.dep1 = static_cast<std::uint8_t>(rng_.below(4));
+        op.dep2 = static_cast<std::uint8_t>(rng_.below(8));
+        if (op.cls == OpClass::Branch) {
+            op.taken = rng_.chance(0.5);
+            op.nextPc = op.taken ? FixedStream::kBase : pc_ + 4;
+            pc_ = op.nextPc;
+        } else {
+            pc_ += 4;
+        }
+        if (pc_ >= FixedStream::kBase + FixedStream::kCodeBytes)
+            pc_ = FixedStream::kBase;
+        return op;
+    }
+
+  private:
+    Rng rng_;
+    Addr pc_ = FixedStream::kBase;
+};
+
+TEST(SmtCore, SameCycleCompletionOrderDoesNotMatter)
+{
+    // Two identical machines in lockstep.  Before every cycle, each
+    // receives the completions its wheel holds for that cycle — A in
+    // the wheel's order, B in reverse — and must end up in the same
+    // state: markCompleted() only sets flags, inserts into ready
+    // lists by stamp, and ends at most one mispredict stall per
+    // thread (DESIGN.md section 11).
+    CoreConfig config;
+    config.numThreads = 2;
+    CoreHarness a(config);
+    CoreHarness b(config);
+    RandomDepStream a0(1), a1(2), b0(1), b1(2);
+    a.prewarmCode();
+    b.prewarmCode();
+    a.core.bindStream(0, &a0);
+    a.core.bindStream(1, &a1);
+    b.core.bindStream(0, &b0);
+    b.core.bindStream(1, &b1);
+    std::uint32_t contested = 0;
+    for (Cycle c = 1; c <= 4000; ++c) {
+        const SmtCoreTestPeer::Due due = SmtCoreTestPeer::due(a.core, c);
+        ASSERT_EQ(due, SmtCoreTestPeer::due(b.core, c)) << "cycle " << c;
+        std::uint32_t effective = 0;
+        for (const auto &[tid, seq] : due)
+            effective += SmtCoreTestPeer::hasEffects(a.core, tid, seq);
+        if (effective >= 2)
+            ++contested;
+        for (auto it = due.begin(); it != due.end(); ++it)
+            SmtCoreTestPeer::complete(a.core, it->first, it->second, c);
+        for (auto it = due.rbegin(); it != due.rend(); ++it)
+            SmtCoreTestPeer::complete(b.core, it->first, it->second, c);
+        ASSERT_EQ(SmtCoreTestPeer::state(a.core),
+                  SmtCoreTestPeer::state(b.core))
+            << "cycle " << c;
+        a.run(1);
+        b.run(1);
+    }
+    EXPECT_GT(contested, 100u);
+    EXPECT_GT(a.core.perf(0).mispredicts, 0u);
+    for (ThreadId t = 0; t < 2; ++t) {
+        EXPECT_GT(a.core.perf(t).committedInsts, 1000u);
+        EXPECT_EQ(a.core.perf(t).committedInsts,
+                  b.core.perf(t).committedInsts);
+    }
+}
+
+TEST(SmtCore, CompletionWheelCoversTheConfiguredTlbPenalty)
+{
+    // L1 hits on 160 pages, more than the 128-entry DTLB holds, so
+    // every load pays a 100-cycle TLB miss on top of its hit: the
+    // completion wheel must be sized from the configured penalty.
+    // The counts are those of the binary-heap completion queue the
+    // wheel replaced.
+    HierarchyConfig hier;
+    hier.tlbMissPenalty = 100;
+    CoreHarness h(oneThread(), hier);
+    std::vector<MicroOp> ops;
+    for (Addr page = 0; page < 160; ++page) {
+        MicroOp load;
+        load.cls = OpClass::Load;
+        load.effAddr = 0x1000'0000 + page * 8192 + (page % 128) * 64;
+        h.hierarchy.prewarmLine(0, load.effAddr, true);
+        ops.push_back(load);
+    }
+    FixedStream s(ops);
+    h.prewarmCode();
+    h.core.bindStream(0, &s);
+    h.run(20000);
+    EXPECT_EQ(h.core.perf(0).committedInsts, 12249u);
+    EXPECT_EQ(h.hierarchy.dtlb().stats().misses(), 12311u);
+    EXPECT_EQ(h.hierarchy.l1d().demandStats().hits(), 12311u);
+}
+
+TEST(CompletionWheelDeathTest, DelayBeyondTheWheelPanics)
+{
+    CompletionWheel wheel(40, 4);  // 64 buckets
+    ASSERT_EQ(wheel.buckets(), 64u);
+    wheel.schedule(63, 0);  // the farthest cycle the ring can hold
+    EXPECT_EQ(wheel.next(), 63u);
+    EXPECT_DEATH(wheel.schedule(64, 1), "outside the 64-bucket wheel");
+}
+
+TEST(CompletionWheel, DeliversEachCycleInOrderAcrossSkips)
+{
+    CompletionWheel wheel(40, 8);
+    wheel.schedule(5, 0);
+    wheel.schedule(3, 1);
+    wheel.schedule(5, 2);
+    wheel.schedule(40, 3);
+    EXPECT_EQ(wheel.next(), 3u);
+    std::vector<std::uint32_t> got;
+    const auto take = [&got](std::uint32_t id) { got.push_back(id); };
+    wheel.drain(2, take);
+    EXPECT_TRUE(got.empty());
+    // A drain that jumps several cycles still goes earliest first.
+    wheel.drain(10, take);
+    ASSERT_EQ(got.size(), 3u);
+    EXPECT_EQ(got[0], 1u);
+    EXPECT_EQ(wheel.next(), 40u);
+    // The window slid: cycle 70 now fits, and wraps past cycle 40.
+    wheel.schedule(70, 4);
+    EXPECT_EQ(wheel.next(), 40u);
+    wheel.drain(69, take);
+    EXPECT_EQ(got.back(), 3u);
+    EXPECT_EQ(wheel.next(), 70u);
+    wheel.drain(70, take);
+    EXPECT_EQ(got.back(), 4u);
+    EXPECT_EQ(wheel.next(), kCycleNever);
 }
 
 TEST(SmtCoreDeathTest, TooFewRegistersRejected)

@@ -62,13 +62,14 @@ TEST(DramSystem, PerThreadOutstandingTracksLifecycle)
     sys.enqueueRead(0, 3, {}, 0);
     sys.enqueueRead(64, 3, {}, 0);
     sys.enqueueRead(128, 5, {}, 0);
-    ASSERT_GE(sys.outstandingPerThread().size(), 6u);
-    EXPECT_EQ(sys.outstandingPerThread()[3], 2u);
-    EXPECT_EQ(sys.outstandingPerThread()[5], 1u);
+    const ThreadReadCounts &counts = sys.readCounts();
+    ASSERT_GE(counts.perThread().size(), 6u);
+    EXPECT_EQ(counts.perThread()[3], 2u);
+    EXPECT_EQ(counts.perThread()[5], 1u);
     EXPECT_EQ(sys.distinctThreadsOutstanding(), 2u);
     drain(sys, 5000);
-    EXPECT_EQ(sys.outstandingPerThread()[3], 0u);
-    EXPECT_EQ(sys.outstandingPerThread()[5], 0u);
+    EXPECT_EQ(counts.perThread()[3], 0u);
+    EXPECT_EQ(counts.perThread()[5], 0u);
     EXPECT_EQ(sys.distinctThreadsOutstanding(), 0u);
 }
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "dram/address_mapping.hh"
 #include "dram/memory_controller.hh"
 
@@ -452,6 +455,130 @@ TEST(MemoryController, IdleAtFalseWithFaultInjectionActive)
     config.faults.busStallCycles = 12;
     MemoryController mc(config, SchedulerKind::Fcfs);
     EXPECT_FALSE(mc.idleAt(0));
+}
+
+/** Tick every cycle in [from, to], collecting completions. */
+void
+tickRange(MemoryController &mc, Cycle from, Cycle to,
+          std::vector<DramRequest> &done)
+{
+    for (Cycle now = from; now <= to; ++now)
+        mc.tick(now, done);
+}
+
+const DramRequest &
+completedById(const std::vector<DramRequest> &done, std::uint64_t id)
+{
+    const auto it =
+        std::find_if(done.begin(), done.end(),
+                     [id](const DramRequest &r) { return r.id == id; });
+    EXPECT_NE(it, done.end()) << "request " << id << " never completed";
+    return *it;
+}
+
+// The issue gate: after a scheduling scan finds no candidate, the
+// controller sleeps until the earliest cycle any queued request could
+// pass the notBefore/bank filters.  These tests pin that the sleep
+// never delays or advances an issue.
+
+TEST(MemoryControllerGate, RequestEnqueuedWhileAsleepIssuesOnArrival)
+{
+    const DramConfig config = singleChannelDdr();
+    MemoryController mc(config, SchedulerKind::Fcfs);
+    const std::uint64_t row = config.effectiveRowBytes();
+    const std::uint64_t conflict = row * config.banksPerChannel();
+    mc.enqueue(makeRead(config, 1, 0, 0));         // bank 0, row 0
+    mc.enqueue(makeRead(config, 2, conflict, 0));  // bank 0, row 1
+    std::vector<DramRequest> done;
+    // Request 1 launches at 0; from cycle 1 request 2 waits for its
+    // bank, so the controller sleeps until bank 0 frees.
+    tickRange(mc, 0, 4, done);
+    EXPECT_GT(mc.nextEventAt(4), 100u);
+    // An idle-bank read arriving mid-sleep goes out on its arrival
+    // cycle, exactly as a controller that rescanned every cycle.
+    mc.enqueue(makeRead(config, 3, 2 * row, 5));
+    tickRange(mc, 5, 1000, done);
+    ASSERT_EQ(done.size(), 3u);
+    EXPECT_EQ(completedById(done, 3).issueTime, 5u);
+}
+
+TEST(MemoryControllerGate, SleepEndsAtEarliestNotBeforeOrBankReady)
+{
+    const DramConfig config = singleChannelDdr();
+    MemoryController mc(config, SchedulerKind::Fcfs);
+    const std::uint64_t row = config.effectiveRowBytes();
+    const std::uint64_t conflict = row * config.banksPerChannel();
+    mc.enqueue(makeRead(config, 1, 0, 0));         // bank 0, row 0
+    mc.enqueue(makeRead(config, 2, conflict, 0));  // bank 0, row 1
+    DramRequest late = makeRead(config, 3, 2 * row, 0);  // idle bank 2
+    late.notBefore = 60;
+    mc.enqueue(late);
+    std::vector<DramRequest> done;
+    tickRange(mc, 0, 1, done);
+    // Asleep: request 3's notBefore is the earliest wake-up.
+    EXPECT_EQ(mc.nextEventAt(1), 60u);
+    tickRange(mc, 2, 61, done);
+    // Asleep again: request 2 waits for bank 0, whose open-page
+    // window ends with request 1's burst.
+    const Cycle bank0_ready = 45 + 45 + 30;
+    EXPECT_EQ(mc.nextEventAt(61), bank0_ready);
+    tickRange(mc, 62, 1000, done);
+    ASSERT_EQ(done.size(), 3u);
+    EXPECT_EQ(completedById(done, 3).issueTime, 60u);
+    EXPECT_EQ(completedById(done, 2).issueTime, bank0_ready);
+    EXPECT_EQ(completedById(done, 1).completion,
+              bank0_ready + config.timing.controllerOverhead);
+}
+
+TEST(MemoryControllerGate, FaultRetryRequeueWakesTheController)
+{
+    DramConfig config = singleChannelDdr();
+    config.faults.enabled = true;
+    config.faults.readErrorProbability = 1.0;  // every attempt fails
+    config.faults.maxRetries = 1;
+    config.faults.retryBackoff = 8;
+    MemoryController mc(config, SchedulerKind::Fcfs);
+    const std::uint64_t row = config.effectiveRowBytes();
+    const std::uint64_t conflict = row * config.banksPerChannel();
+    mc.enqueue(makeRead(config, 1, row, 0));       // bank 1
+    mc.enqueue(makeRead(config, 2, 0, 0));         // bank 0, row 0
+    mc.enqueue(makeRead(config, 3, conflict, 0));  // bank 0, row 1
+    std::vector<DramRequest> done;
+    // Request 1 launches at 0 and request 2 at 1; request 3 then
+    // sleeps on bank 0 until request 2's burst ends at 150.
+    // Request 1's first attempt completes at 130, fails, and re-arms
+    // 8 cycles later on its long-free bank: the re-queue must end
+    // the sleep so the retry issues at 138, not 150.
+    tickRange(mc, 0, 2000, done);
+    ASSERT_EQ(done.size(), 3u);
+    const DramRequest &retried = completedById(done, 1);
+    EXPECT_EQ(retried.retries, 1u);
+    EXPECT_EQ(retried.issueTime, 130u + 8u);
+    EXPECT_EQ(mc.stats().readRetries, 3u);
+}
+
+TEST(MemoryControllerGate, RefreshDuringSleepDoesNotIssueEarly)
+{
+    const Cycle interval = 1000;
+    const Cycle duration = 120;
+    const DramConfig config =
+        singleChannelDdr().withRefresh(interval, duration);
+    MemoryController mc(config, SchedulerKind::Fcfs);
+    // Bank 0's first refresh falls one stagger step into tREFI.
+    const Cycle refresh_at = interval / config.banksPerChannel();
+    DramRequest req = makeRead(config, 1, 0, 0);  // bank 0
+    req.notBefore = refresh_at + 10;
+    mc.enqueue(req);
+    std::vector<DramRequest> done;
+    tickRange(mc, 0, refresh_at - 1, done);
+    EXPECT_EQ(mc.nextEventAt(refresh_at - 1), refresh_at);
+    // The refresh takes bank 0 inside the sleep: the wake-up moves
+    // to the refresh's end, and the read issues exactly then.
+    tickRange(mc, refresh_at, refresh_at, done);
+    EXPECT_EQ(mc.nextEventAt(refresh_at), refresh_at + duration);
+    tickRange(mc, refresh_at + 1, refresh_at + 1000, done);
+    ASSERT_EQ(done.size(), 1u);
+    EXPECT_EQ(done[0].issueTime, refresh_at + duration);
 }
 
 } // namespace

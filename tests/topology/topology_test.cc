@@ -250,6 +250,51 @@ TEST(TopologyValidateDeathTest, RejectsImpossibleTopologies)
     topo.validate(4);
 }
 
+TEST(SocketRouterTest, ReadCountsSpanSockets)
+{
+    // The router counts the machine's outstanding demand reads: a
+    // thread with reads on both sockets stays one distinct thread
+    // until its last read anywhere completes, while each socket's
+    // DramSystem counts only its own.
+    TopologyConfig topo;
+    topo.sockets = 2;
+    topo.coresPerSocket = 1;
+    topo.home = HomePolicy::Loader;
+
+    const DramConfig dcfg = DramConfig::ddrSdram(2);
+    DramSystem d0(dcfg, SchedulerKind::HitFirst, 0);
+    DramSystem d1(dcfg, SchedulerKind::HitFirst,
+                  dcfg.logicalChannels());
+    NumaFrameAllocator alloc(topo, 12);
+    SocketRouter router(topo, {&d0, &d1}, alloc, 2);
+    std::size_t delivered = 0;
+    router.setDelivery(0, [&](const DramRequest &) { ++delivered; });
+    router.setDelivery(1, [&](const DramRequest &) { ++delivered; });
+
+    const ThreadSnapshot snap{};
+    router.read(0, alloc.tagHome(0x40, 0), 0, snap, 10, true);
+    router.read(0, alloc.tagHome(0x1080, 1), 0, snap, 10, true);
+    router.read(1, alloc.tagHome(0x2100, 1), 1, snap, 10, true);
+    const ThreadReadCounts &machine = router.readCounts();
+    EXPECT_EQ(machine.distinct(), 2u);
+    ASSERT_EQ(machine.perThread().size(), 2u);
+    EXPECT_EQ(machine.perThread()[0], 2u);
+    EXPECT_EQ(d0.distinctThreadsOutstanding(), 1u);
+    EXPECT_EQ(d1.distinctThreadsOutstanding(), 2u);
+
+    for (Cycle c = 11; c < 100'000 && delivered < 1; ++c)
+        d0.tick(c);
+    ASSERT_EQ(delivered, 1u);
+    EXPECT_EQ(d0.distinctThreadsOutstanding(), 0u);
+    EXPECT_EQ(machine.perThread()[0], 1u);
+    EXPECT_EQ(machine.distinct(), 2u);
+
+    for (Cycle c = 11; c < 100'000 && delivered < 3; ++c)
+        d1.tick(c);
+    ASSERT_EQ(delivered, 3u);
+    EXPECT_EQ(machine.distinct(), 0u);
+}
+
 TEST(SocketRouterTest, RemoteBlameConservesPerRequest)
 {
     TopologyConfig topo;
