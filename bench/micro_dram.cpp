@@ -63,7 +63,6 @@ BM_SchedulerPick(benchmark::State &state)
     const auto kind = static_cast<SchedulerKind>(state.range(0));
     const size_t depth = static_cast<size_t>(state.range(1));
 
-    auto scheduler = makeScheduler(kind);
     Rng rng(7);
     std::vector<DramRequest> reqs(depth);
     std::vector<SchedCandidate> candidates(depth);
@@ -82,11 +81,11 @@ BM_SchedulerPick(benchmark::State &state)
         candidates[i].bankIdle = rng.chance(0.2);
     }
     for (auto _ : state)
-        benchmark::DoNotOptimize(scheduler->pick(candidates, depth));
+        benchmark::DoNotOptimize(pickCandidate(kind, candidates, depth));
     state.SetLabel(schedulerName(kind));
 }
 BENCHMARK(BM_SchedulerPick)
-    ->ArgsProduct({{0, 1, 2, 3, 4, 5}, {8, 32}});
+    ->ArgsProduct({{0, 1, 2, 3, 4, 5, 6}, {8, 32}});
 
 /** End-to-end controller throughput on a synthetic request storm. */
 void

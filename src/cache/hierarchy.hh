@@ -147,7 +147,6 @@ class Hierarchy
     const CacheArray &l1d() const { return l1d_; }
     const CacheArray &l2() const { return l2_; }
     const CacheArray &l3() const { return l3_; }
-    const Tlb &itlb() const { return itlb_; }
     const Tlb &dtlb() const { return dtlb_; }
 
     std::uint64_t dramReadsIssued() const { return dramReadsIssued_; }

@@ -34,7 +34,6 @@ class PageTables
     /** Translate, allocating a frame on first touch. */
     Addr translate(ThreadId tid, Addr vaddr);
 
-    Addr vpageOf(Addr vaddr) const { return vaddr >> pageShift_; }
     std::uint64_t framesAllocated() const { return nextFrame_; }
     std::uint32_t pageShift() const { return pageShift_; }
 

@@ -21,6 +21,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/types.hh"
@@ -87,6 +88,25 @@ blameComponentName(BlameComponent c)
       case BlameComponent::Intrinsic: return "intrinsic";
     }
     return "?";
+}
+
+/**
+ * Trace counter-track name of a component: "blame_" + its
+ * blameComponentName().  Built once in static storage, because
+ * Tracer::counter keeps the pointer until the trace is written.
+ */
+inline const char *
+blameCounterName(BlameComponent c)
+{
+    static const auto names = [] {
+        std::array<std::string, kNumBlameComponents> n;
+        for (std::size_t i = 0; i < kNumBlameComponents; ++i) {
+            n[i] = std::string("blame_") +
+                   blameComponentName(static_cast<BlameComponent>(i));
+        }
+        return n;
+    }();
+    return names[static_cast<std::size_t>(c)].c_str();
 }
 
 /** Per-request (or accumulated) latency breakdown, in cycles. */

@@ -30,7 +30,7 @@ MemoryController::MemoryController(const DramConfig &config,
                                    std::uint32_t channel)
     : config_(config),
       channel_(channel),
-      scheduler_(makeScheduler(scheduler)),
+      scheduler_(scheduler),
       injector_(config.faults, config.ecc, config.hammer, channel),
       // The address map does not bound the row index (pages map ever
       // upward), so the disturbance model only clips victims at the
@@ -56,10 +56,9 @@ MemoryController::MemoryController(const DramConfig &config,
     }
     // Queues hold small fixed-size entries; reserving the acceptance
     // caps up front means even the cold-start ramp never reallocates.
-    readQueue_.reserve(config_.readQueueCap);
-    writeQueue_.reserve(config_.writeQueueCap);
-    scrubQueue_.reserve(config_.readQueueCap);
-    mitigationQueue_.reserve(config_.readQueueCap);
+    for (Queue &q : queues_)
+        q.reserve(config_.readQueueCap);
+    queueOf(CandidateSource::WriteQueue).reserve(config_.writeQueueCap);
     // One scheduling scan can surface reads, mitigations, scrubs, and
     // writes together, so reserving the summed caps makes the scratch
     // allocation-free for the controller's lifetime (ZeroAllocTest
@@ -98,7 +97,7 @@ MemoryController::enqueue(DramRequest req)
              static_cast<size_t>(banks_.size()));
     if (req.op == MemOp::Read && !req.scrub && !req.mitigation &&
         req.retries == 0) {
-        stats_.queueDepthHist.sample(readQueue_.size());
+        stats_.queueDepthHist.sample(queuedReads());
     }
     if (tracer_ && req.retries == 0) {
         // Retried requests re-enter the queue inside an already-open
@@ -135,29 +134,29 @@ MemoryController::enqueue(DramRequest req)
         accountWaitUntil(req, busFreeAt_ - table_.maxBusLead,
                          busGateCause_, busOwner_);
     }
-    std::vector<QueuedRef> *queue;
+    Queue *queue;
     if (req.mitigation) {
         // Preventive refreshes are paced by the Misra-Gries trigger
         // threshold; an unbounded queue means the tracker is firing
         // faster than the channel can ever serve.
         panic_if(req.op != MemOp::Read,
                  "mitigation requests are maintenance reads");
-        panic_if(mitigationQueue_.size() >= config_.readQueueCap,
+        queue = &queueOf(CandidateSource::MitigationQueue);
+        panic_if(queue->size() >= config_.readQueueCap,
                  "mitigation queue overflow");
-        queue = &mitigationQueue_;
     } else if (req.scrub) {
         // Patrol scrub is paced by the generator; a runaway queue
         // means the pacing logic is broken, not that load is high.
         panic_if(req.op != MemOp::Read, "scrub requests are reads");
-        panic_if(scrubQueue_.size() >= config_.readQueueCap,
+        queue = &queueOf(CandidateSource::ScrubQueue);
+        panic_if(queue->size() >= config_.readQueueCap,
                  "scrub queue overflow");
-        queue = &scrubQueue_;
     } else if (req.op == MemOp::Read) {
         panic_if(!canAcceptRead(), "read queue overflow");
-        queue = &readQueue_;
+        queue = &queueOf(CandidateSource::ReadQueue);
     } else {
         panic_if(!canAcceptWrite(), "write queue overflow");
-        queue = &writeQueue_;
+        queue = &queueOf(CandidateSource::WriteQueue);
     }
     // Capture the scan-filter fields before the move into the pool.
     QueuedRef entry;
@@ -233,17 +232,13 @@ MemoryController::accountBankWindow(std::uint32_t bank_index, Cycle now)
         return;
     const BlameComponent cause = banks_.busyCause[bank_index];
     const ThreadId owner = banks_.busyOwner[bank_index];
-    const auto sweep = [&](const std::vector<QueuedRef> &queue) {
+    for (const Queue &queue : queues_) {
         for (const QueuedRef &q : queue) {
             if (q.bank == bank_index)
                 accountBlocked(pool_.at(q.h), now, ready_at, cause,
                                owner);
         }
-    };
-    sweep(readQueue_);
-    sweep(writeQueue_);
-    sweep(scrubQueue_);
-    sweep(mitigationQueue_);
+    }
 }
 
 void
@@ -253,24 +248,21 @@ MemoryController::accountBusGate(Cycle now, BlameComponent cause,
     if (busFreeAt_ <= now + table_.maxBusLead)
         return;
     const Cycle gate_end = busFreeAt_ - table_.maxBusLead;
-    const auto sweep = [&](const std::vector<QueuedRef> &queue) {
+    for (const Queue &queue : queues_) {
         for (const QueuedRef &q : queue)
             accountBlocked(pool_.at(q.h), now, gate_end, cause, owner);
-    };
-    sweep(readQueue_);
-    sweep(writeQueue_);
-    sweep(scrubQueue_);
-    sweep(mitigationQueue_);
+    }
 }
 
 void
-MemoryController::gatherCandidates(const std::vector<QueuedRef> &queue,
-                                   CandidateSource source, Cycle now,
+MemoryController::gatherCandidates(CandidateSource source, Cycle now,
+                                   Cycle min_age,
                                    std::vector<SchedCandidate> &out,
                                    Cycle &wake) const
 {
     // The filters run on the entry's cached fields; the pool is
     // dereferenced only for entries that survive them.
+    const Queue &queue = queueOf(source);
     const std::uint32_t n = static_cast<std::uint32_t>(queue.size());
     for (std::uint32_t i = 0; i < n; ++i) {
         const QueuedRef &q = queue[i];
@@ -280,38 +272,13 @@ MemoryController::gatherCandidates(const std::vector<QueuedRef> &queue,
                             std::max(q.notBefore, banks_.readyAt[q.bank]));
             continue;
         }
+        if (now - q.arrival < min_age)
+            continue;
         SchedCandidate c;
         c.req = &pool_.at(q.h);
         c.rowHit = table_.openMode && banks_.rowHit(q.bank, q.row);
         c.bankIdle = banks_.idle(q.bank);
         c.source = source;
-        c.sourceIndex = i;
-        out.push_back(c);
-    }
-}
-
-void
-MemoryController::gatherScrubCandidates(
-    Cycle now, bool escalated_only, std::vector<SchedCandidate> &out,
-    Cycle &wake) const
-{
-    const Cycle deadline = table_.scrubDeadline;
-    const std::uint32_t n =
-        static_cast<std::uint32_t>(scrubQueue_.size());
-    for (std::uint32_t i = 0; i < n; ++i) {
-        const QueuedRef &q = scrubQueue_[i];
-        if (q.notBefore > now || !banks_.ready(q.bank)) {
-            wake = std::min(wake,
-                            std::max(q.notBefore, banks_.readyAt[q.bank]));
-            continue;
-        }
-        if (escalated_only && now - q.arrival <= deadline)
-            continue;
-        SchedCandidate c;
-        c.req = &pool_.at(q.h);
-        c.rowHit = table_.openMode && banks_.rowHit(q.bank, q.row);
-        c.bankIdle = banks_.idle(q.bank);
-        c.source = CandidateSource::ScrubQueue;
         c.sourceIndex = i;
         out.push_back(c);
     }
@@ -328,9 +295,10 @@ MemoryController::tryIssue(Cycle now)
     // only grows and the first post-window evaluation latches the
     // same state either way.  (Pinned by WriteDrainLatch* tests and
     // golden bit-identity.)
-    if (writeQueue_.size() >= config_.writeHighWatermark)
+    const size_t writes = queueOf(CandidateSource::WriteQueue).size();
+    if (writes >= config_.writeHighWatermark)
         drainingWrites_ = true;
-    else if (writeQueue_.size() <= config_.writeLowWatermark)
+    else if (writes <= config_.writeLowWatermark)
         drainingWrites_ = false;
 
     // Asleep: the last gather found no candidate, and none can appear
@@ -340,10 +308,9 @@ MemoryController::tryIssue(Cycle now)
 
     // Nothing queued anywhere: the gathers below would all come back
     // empty, so skip the mask sync and scratch churn entirely.
-    if (readQueue_.empty() && writeQueue_.empty() &&
-        scrubQueue_.empty() && mitigationQueue_.empty()) {
+    const size_t queued_total = queued();
+    if (queued_total == 0)
         return;
-    }
 
     // Scheduling decisions are taken as late as possible: never book
     // the data bus more than maxBusLead ahead of real time.
@@ -360,29 +327,25 @@ MemoryController::tryIssue(Cycle now)
     candidates.clear();
     // Earliest cycle a filtered-out entry could pass the filters.
     Cycle wake = kCycleNever;
-    gatherCandidates(readQueue_, CandidateSource::ReadQueue, now,
-                     candidates, wake);
+    gatherCandidates(CandidateSource::ReadQueue, now, 0, candidates,
+                     wake);
     // Preventive refreshes compete at demand priority: Graphene must
     // beat the aggressor to the hammer threshold, so its refreshes
     // cannot wait for an idle channel the attacker never yields.
-    if (!mitigationQueue_.empty()) {
-        gatherCandidates(mitigationQueue_,
-                         CandidateSource::MitigationQueue, now,
-                         candidates, wake);
-    }
-    // A scrub read stale past its deadline competes with demand.
-    if (!scrubQueue_.empty()) {
-        gatherScrubCandidates(now, /*escalated_only=*/true, candidates,
-                              wake);
-    }
+    gatherCandidates(CandidateSource::MitigationQueue, now, 0,
+                     candidates, wake);
+    // A scrub read stale past its deadline competes with demand
+    // (bounded staleness keeps patrol progress under sustained load).
+    gatherCandidates(CandidateSource::ScrubQueue, now,
+                     table_.scrubDeadline + 1, candidates, wake);
     // Writes compete only when draining or when no read could go.
     if (drainingWrites_ || candidates.empty())
-        gatherCandidates(writeQueue_, CandidateSource::WriteQueue, now,
+        gatherCandidates(CandidateSource::WriteQueue, now, 0,
                          candidates, wake);
     // Fresh scrub reads take whatever cycles nothing else wants.
     if (candidates.empty())
-        gatherScrubCandidates(now, /*escalated_only=*/false, candidates,
-                              wake);
+        gatherCandidates(CandidateSource::ScrubQueue, now, 0,
+                         candidates, wake);
     if (candidates.empty()) {
         // Every queue was scanned in full and every entry filtered
         // out, so `wake` is the minimum over all of them.
@@ -391,18 +354,11 @@ MemoryController::tryIssue(Cycle now)
     }
     issueWakeAt_ = 0;  // the launch below moves a bank and an entry
 
-    const size_t queued = readQueue_.size() + writeQueue_.size() +
-                          scrubQueue_.size() + mitigationQueue_.size();
-    const size_t pick = scheduler_->pick(candidates, queued);
-    panic_if(pick >= candidates.size(), "scheduler picked out of range");
-    const SchedCandidate &chosen = candidates[pick];
+    const SchedCandidate &chosen =
+        candidates[pickCandidate(scheduler_, candidates, queued_total)];
 
-    // Remove by recorded position — no re-scan of the four queues.
-    std::vector<QueuedRef> &q =
-        chosen.source == CandidateSource::ReadQueue    ? readQueue_
-        : chosen.source == CandidateSource::WriteQueue ? writeQueue_
-        : chosen.source == CandidateSource::ScrubQueue ? scrubQueue_
-                                                       : mitigationQueue_;
+    // Remove by recorded position — no re-scan of the queues.
+    Queue &q = queueOf(chosen.source);
     panic_if(chosen.sourceIndex >= q.size() ||
                  pool_.at(q[chosen.sourceIndex].h).id != chosen.req->id,
              "picked request vanished from queues");
@@ -794,7 +750,8 @@ MemoryController::retire(Cycle now, std::vector<DramRequest> &completed)
                 entry.row = req.coord.row;
                 entry.arrival = req.arrival;
                 entry.notBefore = req.notBefore;
-                (req.scrub ? scrubQueue_ : readQueue_)
+                queueOf(req.scrub ? CandidateSource::ScrubQueue
+                                  : CandidateSource::ReadQueue)
                     .push_back(entry);
                 issueWakeAt_ = 0;
                 continue;
@@ -961,53 +918,21 @@ MemoryController::nextEventAt(Cycle now) const
                                : 0;
     if (issueWakeAt_ != 0)
         return std::min(next, std::max({issueWakeAt_, bus_gate, now + 1}));
-    const auto queue_next = [&](const std::vector<QueuedRef> &queue) {
+    for (const Queue &queue : queues_) {
         for (const QueuedRef &q : queue) {
             Cycle t = std::max(q.notBefore, banks_.readyAt[q.bank]);
             t = std::max(t, bus_gate);
             next = std::min(next, std::max(t, now + 1));
         }
-    };
-    queue_next(readQueue_);
-    queue_next(writeQueue_);
-    queue_next(scrubQueue_);
-    queue_next(mitigationQueue_);
+    }
     return next;
 }
-
-namespace
-{
-
-// Templated over the queue type: the entries are a private nested
-// type of MemoryController, which a free function can receive via
-// deduction but not name.
-template <typename Queue>
-void
-dumpQueue(std::ostream &os, const char *name, const RequestPool &pool,
-          const Queue &queue)
-{
-    os << "  " << name << " (" << queue.size() << "):\n";
-    for (const auto &q : queue) {
-        const DramRequest &r = pool.at(q.h);
-        os << "    id=" << r.id
-           << " op=" << (r.op == MemOp::Read ? "R" : "W")
-           << " addr=0x" << std::hex << r.addr << std::dec
-           << " bank=" << r.coord.bank << " row=" << r.coord.row
-           << " thread=" << static_cast<std::int64_t>(
-                  r.thread == kThreadNone ? -1 : (std::int64_t)r.thread)
-           << " arrival=" << r.arrival
-           << " notBefore=" << r.notBefore
-           << " retries=" << r.retries << "\n";
-    }
-}
-
-} // namespace
 
 void
 MemoryController::dumpState(std::ostream &os) const
 {
     os << "MemoryController[channel " << channel_ << "] scheduler="
-       << scheduler_->name() << "\n";
+       << schedulerName(scheduler_) << "\n";
     os << "  busFreeAt=" << busFreeAt_
        << " drainingWrites=" << (drainingWrites_ ? "yes" : "no")
        << " outstanding=" << outstanding() << "\n";
@@ -1019,15 +944,29 @@ MemoryController::dumpState(std::ostream &os) const
             os << " nextRefreshAt=" << banks_.nextRefreshAt[i];
         os << "\n";
     }
-    dumpQueue(os, "readQueue", pool_, readQueue_);
-    dumpQueue(os, "writeQueue", pool_, writeQueue_);
-    // Always dumped (not gated on ecc.enabled): queued scrub entries
-    // count into outstanding(), and a conservation-checker diagnosis
-    // must show every request the count covers.
-    dumpQueue(os, "scrubQueue", pool_, scrubQueue_);
-    // Same rationale as the scrub queue: mitigation entries count
-    // into outstanding(), so a conservation diagnosis must see them.
-    dumpQueue(os, "mitigationQueue", pool_, mitigationQueue_);
+    // Every queue is dumped, even the scrub and mitigation queues of a
+    // channel with ECC or the hammer model off: their entries count
+    // into outstanding(), and a conservation-checker diagnosis must
+    // show every request the count covers.
+    static const char *const kQueueNames[kNumCandidateSources] = {
+        "readQueue", "writeQueue", "scrubQueue", "mitigationQueue"};
+    for (size_t i = 0; i < kNumCandidateSources; ++i) {
+        os << "  " << kQueueNames[i] << " (" << queues_[i].size()
+           << "):\n";
+        for (const QueuedRef &q : queues_[i]) {
+            const DramRequest &r = pool_.at(q.h);
+            os << "    id=" << r.id
+               << " op=" << (r.op == MemOp::Read ? "R" : "W")
+               << " addr=0x" << std::hex << r.addr << std::dec
+               << " bank=" << r.coord.bank << " row=" << r.coord.row
+               << " thread="
+               << (r.thread == kThreadNone ? std::int64_t{-1}
+                                           : std::int64_t{r.thread})
+               << " arrival=" << r.arrival
+               << " notBefore=" << r.notBefore
+               << " retries=" << r.retries << "\n";
+        }
+    }
     os << "  inFlight (" << inFlight_.size() << "):\n";
     for (const InFlightRef &f : inFlight_) {
         const DramRequest &r = pool_.at(f.h);

@@ -29,9 +29,9 @@
 #ifndef SMTDRAM_DRAM_MEMORY_CONTROLLER_HH
 #define SMTDRAM_DRAM_MEMORY_CONTROLLER_HH
 
+#include <array>
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
 #include <vector>
 
 #include "common/stats.hh"
@@ -156,7 +156,7 @@ struct ControllerStats {
     }
 };
 
-/** One logical channel: banks, bus, queues, and a scheduler. */
+/** One logical channel: banks, bus, queues, and a scheduling policy. */
 class MemoryController
 {
   public:
@@ -168,13 +168,15 @@ class MemoryController
     bool
     canAcceptRead() const
     {
-        return readQueue_.size() < config_.readQueueCap;
+        return queueOf(CandidateSource::ReadQueue).size() <
+               config_.readQueueCap;
     }
 
     bool
     canAcceptWrite() const
     {
-        return writeQueue_.size() < config_.writeQueueCap;
+        return queueOf(CandidateSource::WriteQueue).size() <
+               config_.writeQueueCap;
     }
 
     /** Queue a mapped request.  coord.channel must equal this one. */
@@ -188,18 +190,19 @@ class MemoryController
     void tick(Cycle now, std::vector<DramRequest> &completed);
 
     /** Queued plus in-flight transactions. */
+    size_t outstanding() const { return queued() + inFlight_.size(); }
+
     size_t
-    outstanding() const
+    queuedReads() const
     {
-        return readQueue_.size() + writeQueue_.size() +
-               scrubQueue_.size() + mitigationQueue_.size() +
-               inFlight_.size();
+        return queueOf(CandidateSource::ReadQueue).size();
     }
 
-    size_t queuedReads() const { return readQueue_.size(); }
-    size_t queuedWrites() const { return writeQueue_.size(); }
-    size_t queuedScrubs() const { return scrubQueue_.size(); }
-    size_t queuedMitigations() const { return mitigationQueue_.size(); }
+    size_t
+    queuedScrubs() const
+    {
+        return queueOf(CandidateSource::ScrubQueue).size();
+    }
 
     /**
      * Hand the preventive refreshes the aggressor tracker has
@@ -249,9 +252,7 @@ class MemoryController
     idleAt(Cycle now) const
     {
         return !injector_.active() && inFlight_.empty() &&
-               readQueue_.empty() && writeQueue_.empty() &&
-               scrubQueue_.empty() && mitigationQueue_.empty() &&
-               pendingMitigations_.empty() &&
+               queued() == 0 && pendingMitigations_.empty() &&
                (!config_.refreshEnabled() || now < nextRefreshDue_);
     }
 
@@ -348,28 +349,44 @@ class MemoryController
         Cycle notBefore;
     };
 
+    using Queue = std::vector<QueuedRef>;
+
+    Queue &
+    queueOf(CandidateSource source)
+    {
+        return queues_[static_cast<size_t>(source)];
+    }
+
+    const Queue &
+    queueOf(CandidateSource source) const
+    {
+        return queues_[static_cast<size_t>(source)];
+    }
+
+    /** Requests waiting in all queues (not yet launched). */
+    size_t
+    queued() const
+    {
+        size_t n = 0;
+        for (const Queue &q : queues_)
+            n += q.size();
+        return n;
+    }
+
     /** Launch the best eligible transaction, if any. */
     void tryIssue(Cycle now);
 
     /**
-     * Collect policy candidates from @p queue, tagged @p source.
-     * Lowers @p wake to max(notBefore, readyAt) of every entry the
-     * notBefore/bank filters reject.
+     * Collect policy candidates from the @p source queue, skipping
+     * entries younger than @p min_age cycles (0 takes every age; the
+     * scrub queue's escalation pass takes only reads stale past the
+     * deadline).  Lowers @p wake to max(notBefore, readyAt) of every
+     * entry the notBefore/bank filters reject.
      */
-    void gatherCandidates(const std::vector<QueuedRef> &queue,
-                          CandidateSource source, Cycle now,
+    void gatherCandidates(CandidateSource source, Cycle now,
+                          Cycle min_age,
                           std::vector<SchedCandidate> &out,
                           Cycle &wake) const;
-
-    /**
-     * Collect scrub candidates.  With @p escalated_only, include only
-     * scrub reads stale enough to outrank demand traffic (bounded
-     * staleness keeps patrol progress under sustained demand load).
-     * @p wake as for gatherCandidates().
-     */
-    void gatherScrubCandidates(Cycle now, bool escalated_only,
-                               std::vector<SchedCandidate> &out,
-                               Cycle &wake) const;
 
     /** Execute the chosen request's timing (in place in the pool). */
     void launch(ReqHandle h, Cycle now);
@@ -416,7 +433,7 @@ class MemoryController
 
     DramConfig config_;
     std::uint32_t channel_;
-    std::unique_ptr<Scheduler> scheduler_;
+    SchedulerKind scheduler_;
     FaultInjector injector_;
     /** Disturbance model + aggressor tracker (inert when off). */
     RowHammerModel hammer_;
@@ -437,12 +454,13 @@ class MemoryController
     /** Backing store for every queued or in-flight request; the
      *  queues below hold handles (plus scan-filter fields) into it. */
     RequestPool pool_;
-    std::vector<QueuedRef> readQueue_;
-    std::vector<QueuedRef> writeQueue_;
-    /** ECC patrol-scrub reads; lowest priority unless escalated. */
-    std::vector<QueuedRef> scrubQueue_;
-    /** Rowhammer preventive refreshes; compete with demand reads. */
-    std::vector<QueuedRef> mitigationQueue_;
+    /**
+     * Request queues indexed by CandidateSource: demand reads,
+     * writes, ECC patrol-scrub reads (lowest priority unless
+     * escalated), and rowhammer preventive refreshes (compete with
+     * demand reads).  tryIssue() fixes the priority between them.
+     */
+    std::array<Queue, kNumCandidateSources> queues_;
     /** Refreshes the tracker requested but the system has not yet
      *  materialized into queued maintenance commands. */
     std::vector<MitigationRequest> pendingMitigations_;

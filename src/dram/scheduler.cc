@@ -1,6 +1,5 @@
 #include "dram/scheduler.hh"
 
-#include <algorithm>
 #include <cctype>
 
 #include "common/logging.hh"
@@ -13,8 +12,8 @@ namespace
 
 /**
  * Lexicographic priority key: smaller compares better.  Every policy
- * is expressed as a (hitClass, readClass, threadKey, arrival, id)
- * tuple; the id keeps ordering total and deterministic.
+ * is one (hitClass, readClass, threadKey, arrival, id) tuple; the id
+ * keeps the order total and deterministic.
  */
 struct Key {
     int hitClass;       ///< 0 = row hit, 1 = idle bank, 2 = conflict
@@ -38,188 +37,57 @@ struct Key {
     }
 };
 
-int
-hitClassOf(const SchedCandidate &c)
-{
-    if (c.rowHit)
-        return 0;
-    return c.bankIdle ? 1 : 2;
-}
+/** Queue depth beyond which age-based serves the oldest request
+ *  first (paper: "more than eight outstanding requests"). */
+constexpr size_t kAgePressure = 8;
 
-/** Shared skeleton: build a key per candidate, take the minimum. */
-template <typename KeyFn>
-size_t
-pickByKey(const std::vector<SchedCandidate> &candidates, KeyFn key_fn)
-{
-    panic_if(candidates.empty(), "scheduler invoked with no candidates");
-    size_t best = 0;
-    Key best_key = key_fn(candidates[0]);
-    for (size_t i = 1; i < candidates.size(); ++i) {
-        Key k = key_fn(candidates[i]);
-        if (k < best_key) {
-            best_key = k;
-            best = i;
-        }
-    }
-    return best;
-}
-
-class FcfsScheduler : public Scheduler
-{
-  public:
-    SchedulerKind kind() const override { return SchedulerKind::Fcfs; }
-
-    size_t
-    pick(const std::vector<SchedCandidate> &candidates,
-         size_t /* queued */) const override
-    {
-        return pickByKey(candidates, [](const SchedCandidate &c) {
-            // Reads bypass writes (the paper's FCFS reference point);
-            // otherwise strict arrival order.
-            return Key{0, c.req->op == MemOp::Read ? 0 : 1, 0,
-                       c.req->arrival, c.req->id};
-        });
-    }
-};
-
-class HitFirstScheduler : public Scheduler
-{
-  public:
-    SchedulerKind kind() const override { return SchedulerKind::HitFirst; }
-
-    size_t
-    pick(const std::vector<SchedCandidate> &candidates,
-         size_t /* queued */) const override
-    {
-        return pickByKey(candidates, [](const SchedCandidate &c) {
-            return Key{hitClassOf(c), c.req->op == MemOp::Read ? 0 : 1,
-                       0, c.req->arrival, c.req->id};
-        });
-    }
-};
-
-class AgeBasedScheduler : public Scheduler
-{
-  public:
-    /** Queue depth beyond which age dominates (paper: "more than
-     *  eight outstanding requests"). */
-    static constexpr size_t agePressure = 8;
-
-    SchedulerKind kind() const override { return SchedulerKind::AgeBased; }
-
-    size_t
-    pick(const std::vector<SchedCandidate> &candidates,
-         size_t queued) const override
-    {
-        if (queued > agePressure) {
-            return pickByKey(candidates, [](const SchedCandidate &c) {
-                return Key{0, 0, 0, c.req->arrival, c.req->id};
-            });
-        }
-        return pickByKey(candidates, [](const SchedCandidate &c) {
-            return Key{hitClassOf(c), c.req->op == MemOp::Read ? 0 : 1,
-                       0, c.req->arrival, c.req->id};
-        });
-    }
-};
+/** Thread key of a writeback: after every thread-owned request. */
+constexpr std::int64_t kNoThreadKey = 1LL << 40;
 
 /**
- * Common shape of the three thread-aware schemes: hit-first and
- * read-first lead (Section 3.2 explains why bandwidth trumps single-
- * access latency under SMT), then the thread key breaks ties.
- * Writebacks carry no thread and rank after every thread-owned
- * request within their class.
+ * The policy table.  Thread-aware policies keep hit-first and
+ * read-first as the leading criteria (Section 3.2 explains why
+ * bandwidth trumps single-access latency under SMT) and break ties
+ * with the snapshot piggybacked on the request; writebacks carry no
+ * thread and rank after every thread-owned request in their class.
  */
-class ThreadAwareScheduler : public Scheduler
+Key
+keyOf(SchedulerKind kind, const SchedCandidate &c, size_t queued)
 {
-  public:
-    size_t
-    pick(const std::vector<SchedCandidate> &candidates,
-         size_t /* queued */) const override
-    {
-        return pickByKey(candidates, [this](const SchedCandidate &c) {
-            std::int64_t tkey = (c.req->thread == kThreadNone)
-                                    ? kNoThreadKey
-                                    : threadKey(c.req->snap);
-            return Key{hitClassOf(c), c.req->op == MemOp::Read ? 0 : 1,
-                       tkey, c.req->arrival, c.req->id};
-        });
+    const DramRequest &r = *c.req;
+    const int hit_class = c.rowHit ? 0 : c.bankIdle ? 1 : 2;
+    const int read_class = r.op == MemOp::Read ? 0 : 1;
+    const bool owned = r.thread != kThreadNone;
+    std::int64_t thread_key = 0;
+    switch (kind) {
+      case SchedulerKind::Fcfs:
+        // Reads bypass writes (the paper's FCFS reference point);
+        // otherwise strict arrival order.
+        return Key{0, read_class, 0, r.arrival, r.id};
+      case SchedulerKind::HitFirst:
+        break;
+      case SchedulerKind::AgeBased:
+        if (queued > kAgePressure)
+            return Key{0, 0, 0, r.arrival, r.id};
+        break;
+      case SchedulerKind::RequestBased:  // fewest outstanding first
+        thread_key = owned ? r.snap.outstandingRequests : kNoThreadKey;
+        break;
+      case SchedulerKind::RobBased:  // most ROB entries held first
+        thread_key = owned ? -std::int64_t{r.snap.robOccupancy}
+                           : kNoThreadKey;
+        break;
+      case SchedulerKind::IqBased:  // most int IQ entries held first
+        thread_key = owned ? -std::int64_t{r.snap.iqOccupancy}
+                           : kNoThreadKey;
+        break;
+      case SchedulerKind::CriticalityBased:
+        // Critical requests lead within their hit/read class.
+        thread_key = r.critical ? 0 : 1;
+        break;
     }
-
-  protected:
-    static constexpr std::int64_t kNoThreadKey = 1LL << 40;
-
-    /** Smaller = higher priority. */
-    virtual std::int64_t threadKey(const ThreadSnapshot &snap) const = 0;
-};
-
-class RequestBasedScheduler : public ThreadAwareScheduler
-{
-  public:
-    SchedulerKind
-    kind() const override
-    {
-        return SchedulerKind::RequestBased;
-    }
-
-  protected:
-    std::int64_t
-    threadKey(const ThreadSnapshot &snap) const override
-    {
-        // Fewest outstanding requests first.
-        return snap.outstandingRequests;
-    }
-};
-
-class RobBasedScheduler : public ThreadAwareScheduler
-{
-  public:
-    SchedulerKind kind() const override { return SchedulerKind::RobBased; }
-
-  protected:
-    std::int64_t
-    threadKey(const ThreadSnapshot &snap) const override
-    {
-        // Most ROB entries held first.
-        return -static_cast<std::int64_t>(snap.robOccupancy);
-    }
-};
-
-class CriticalityBasedScheduler : public Scheduler
-{
-  public:
-    SchedulerKind
-    kind() const override
-    {
-        return SchedulerKind::CriticalityBased;
-    }
-
-    size_t
-    pick(const std::vector<SchedCandidate> &candidates,
-         size_t /* queued */) const override
-    {
-        return pickByKey(candidates, [](const SchedCandidate &c) {
-            // Critical requests lead within their hit/read class.
-            return Key{hitClassOf(c), c.req->op == MemOp::Read ? 0 : 1,
-                       c.req->critical ? 0 : 1, c.req->arrival,
-                       c.req->id};
-        });
-    }
-};
-
-class IqBasedScheduler : public ThreadAwareScheduler
-{
-  public:
-    SchedulerKind kind() const override { return SchedulerKind::IqBased; }
-
-  protected:
-    std::int64_t
-    threadKey(const ThreadSnapshot &snap) const override
-    {
-        // Most integer issue-queue entries held first.
-        return -static_cast<std::int64_t>(snap.iqOccupancy);
-    }
-};
+    return Key{hit_class, read_class, thread_key, r.arrival, r.id};
+}
 
 } // namespace
 
@@ -289,26 +157,21 @@ schedulerFromName(const std::string &name)
     fatal("unknown scheduler '%s'", name.c_str());
 }
 
-std::unique_ptr<Scheduler>
-makeScheduler(SchedulerKind kind)
+size_t
+pickCandidate(SchedulerKind kind,
+              const std::vector<SchedCandidate> &candidates, size_t queued)
 {
-    switch (kind) {
-      case SchedulerKind::Fcfs:
-        return std::make_unique<FcfsScheduler>();
-      case SchedulerKind::HitFirst:
-        return std::make_unique<HitFirstScheduler>();
-      case SchedulerKind::AgeBased:
-        return std::make_unique<AgeBasedScheduler>();
-      case SchedulerKind::RequestBased:
-        return std::make_unique<RequestBasedScheduler>();
-      case SchedulerKind::RobBased:
-        return std::make_unique<RobBasedScheduler>();
-      case SchedulerKind::IqBased:
-        return std::make_unique<IqBasedScheduler>();
-      case SchedulerKind::CriticalityBased:
-        return std::make_unique<CriticalityBasedScheduler>();
+    panic_if(candidates.empty(), "scheduler invoked with no candidates");
+    size_t best = 0;
+    Key best_key = keyOf(kind, candidates[0], queued);
+    for (size_t i = 1; i < candidates.size(); ++i) {
+        const Key k = keyOf(kind, candidates[i], queued);
+        if (k < best_key) {
+            best_key = k;
+            best = i;
+        }
     }
-    panic("unknown SchedulerKind %d", static_cast<int>(kind));
+    return best;
 }
 
 } // namespace smtdram

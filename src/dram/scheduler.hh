@@ -7,8 +7,8 @@
  *    controller level, matching the paper's reference point);
  *  - Hit-first: row-buffer hits before misses, reads before writes,
  *    then arrival order;
- *  - Age-based: hit-first, but when more than `agePressure` requests
- *    are queued, the oldest request is served first.
+ *  - Age-based: hit-first, but when more than eight requests are
+ *    queued, the oldest request is served first.
  *
  * Thread-aware policies (the paper's contribution) keep hit-first and
  * read-first as the leading criteria, then break ties with thread
@@ -16,13 +16,15 @@
  *  - Request-based: fewest outstanding memory requests first;
  *  - ROB-based: most reorder-buffer entries held first;
  *  - IQ-based: most integer issue-queue entries held first.
+ *
+ * Every policy is one row of a lexicographic priority-key table
+ * (keyOf in scheduler.cc); pickCandidate() takes the minimum.
  */
 
 #ifndef SMTDRAM_DRAM_SCHEDULER_HH
 #define SMTDRAM_DRAM_SCHEDULER_HH
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -70,6 +72,9 @@ enum class CandidateSource : std::uint8_t {
     MitigationQueue,
 };
 
+/** Rows of the controller's queue table, one per CandidateSource. */
+inline constexpr std::size_t kNumCandidateSources = 4;
+
 /** View of a queued request the scheduler may rank. */
 struct SchedCandidate {
     const DramRequest *req = nullptr;
@@ -82,30 +87,17 @@ struct SchedCandidate {
 };
 
 /**
- * A scheduling policy: picks which eligible request the channel
- * serves next.  Stateless; all inputs arrive via the candidates.
+ * Choose which of @p candidates (never empty) the channel serves next
+ * under policy @p kind.  Every policy is one lexicographic priority
+ * key over the same candidate fields, so the pick is a total order:
+ * it does not depend on the order of @p candidates.
+ * @param queued total requests queued at this channel, used by the
+ *        age-based pressure rule.
+ * @return index into @p candidates.
  */
-class Scheduler
-{
-  public:
-    virtual ~Scheduler() = default;
-
-    virtual SchedulerKind kind() const = 0;
-
-    /**
-     * Choose among @p candidates (never empty).
-     * @param queued total requests queued at this channel, used by
-     *        pressure-triggered policies such as age-based.
-     * @return index into @p candidates.
-     */
-    virtual size_t pick(const std::vector<SchedCandidate> &candidates,
-                        size_t queued) const = 0;
-
-    std::string name() const { return schedulerName(kind()); }
-};
-
-/** Instantiate a policy. */
-std::unique_ptr<Scheduler> makeScheduler(SchedulerKind kind);
+size_t pickCandidate(SchedulerKind kind,
+                     const std::vector<SchedCandidate> &candidates,
+                     size_t queued);
 
 } // namespace smtdram
 

@@ -593,13 +593,6 @@ SmtSystem::sampleEpoch()
     // Blame, residency, and mitigation dynamics per channel.
     // Cumulative counters: Perfetto differentiates visually, and the
     // monotone series diff cleanly across kernels.
-    static const char *const kBlameCounter[kNumBlameComponents] = {
-        "blame_queueing",      "blame_sched_deferral",
-        "blame_bank_conflict", "blame_bus_contention",
-        "blame_refresh_stall", "blame_scrub",
-        "blame_fault_retry",   "blame_ecc_overhead",
-        "blame_power_exit",    "blame_hammer_mitigation",
-        "blame_remote_access", "blame_intrinsic"};
     for (std::uint32_t c = 0; c < totalChannels(); ++c) {
         std::uint32_t lc;
         const DramSystem &d = dramOfChannel(drams_, c, lc);
@@ -607,7 +600,8 @@ SmtSystem::sampleEpoch()
         const ControllerStats &s = d.channelStats(lc);
         for (std::size_t k = 0; k < kNumBlameComponents; ++k) {
             tracer_->counter(
-                pid, kBlameCounter[k], now_,
+                pid, blameCounterName(static_cast<BlameComponent>(k)),
+                now_,
                 static_cast<double>(s.blameTotals.cycles[k]));
         }
         if (config_.dram.power.enabled) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/random.hh"
 #include "dram/scheduler.hh"
 
 namespace smtdram
@@ -49,81 +50,73 @@ TEST(SchedulerNamesDeathTest, UnknownNameFatal)
 
 TEST(Fcfs, PicksOldestRead)
 {
-    auto s = makeScheduler(SchedulerKind::Fcfs);
     Cand a(1, 100), b(2, 50), c(3, 75);
     std::vector<SchedCandidate> cands = {view(a), view(b), view(c)};
-    EXPECT_EQ(s->pick(cands, 3), 1u);
+    EXPECT_EQ(pickCandidate(SchedulerKind::Fcfs, cands, 3), 1u);
 }
 
 TEST(Fcfs, ReadsBypassOlderWrites)
 {
-    auto s = makeScheduler(SchedulerKind::Fcfs);
     Cand w(1, 10, MemOp::Write), r(2, 99, MemOp::Read);
     std::vector<SchedCandidate> cands = {view(w), view(r)};
-    EXPECT_EQ(s->pick(cands, 2), 1u);
+    EXPECT_EQ(pickCandidate(SchedulerKind::Fcfs, cands, 2), 1u);
 }
 
 TEST(Fcfs, IgnoresRowHits)
 {
-    auto s = makeScheduler(SchedulerKind::Fcfs);
     Cand old_miss(1, 10), young_hit(2, 20);
     std::vector<SchedCandidate> cands = {view(old_miss, false),
                                          view(young_hit, true)};
-    EXPECT_EQ(s->pick(cands, 2), 0u);
+    EXPECT_EQ(pickCandidate(SchedulerKind::Fcfs, cands, 2), 0u);
 }
 
 TEST(HitFirst, HitBeatsOlderMiss)
 {
-    auto s = makeScheduler(SchedulerKind::HitFirst);
     Cand old_miss(1, 10), young_hit(2, 500);
     std::vector<SchedCandidate> cands = {view(old_miss, false),
                                          view(young_hit, true)};
-    EXPECT_EQ(s->pick(cands, 2), 1u);
+    EXPECT_EQ(pickCandidate(SchedulerKind::HitFirst, cands, 2), 1u);
 }
 
 TEST(HitFirst, IdleBankBeatsConflict)
 {
-    auto s = makeScheduler(SchedulerKind::HitFirst);
     Cand conflict(1, 10), idle(2, 20);
     std::vector<SchedCandidate> cands = {view(conflict, false, false),
                                          view(idle, false, true)};
-    EXPECT_EQ(s->pick(cands, 2), 1u);
+    EXPECT_EQ(pickCandidate(SchedulerKind::HitFirst, cands, 2), 1u);
 }
 
 TEST(HitFirst, ReadFirstWithinHitClass)
 {
-    auto s = makeScheduler(SchedulerKind::HitFirst);
     Cand w(1, 10, MemOp::Write), r(2, 20, MemOp::Read);
     std::vector<SchedCandidate> cands = {view(w, true), view(r, true)};
-    EXPECT_EQ(s->pick(cands, 2), 1u);
+    EXPECT_EQ(pickCandidate(SchedulerKind::HitFirst, cands, 2), 1u);
 }
 
 TEST(HitFirst, ArrivalBreaksTies)
 {
-    auto s = makeScheduler(SchedulerKind::HitFirst);
     Cand a(1, 30), b(2, 20);
     std::vector<SchedCandidate> cands = {view(a, true), view(b, true)};
-    EXPECT_EQ(s->pick(cands, 2), 1u);
+    EXPECT_EQ(pickCandidate(SchedulerKind::HitFirst, cands, 2), 1u);
 }
 
 TEST(AgeBased, HitFirstUnderLightLoad)
 {
-    auto s = makeScheduler(SchedulerKind::AgeBased);
     Cand old_miss(1, 10), young_hit(2, 500);
     std::vector<SchedCandidate> cands = {view(old_miss, false),
                                          view(young_hit, true)};
-    EXPECT_EQ(s->pick(cands, 8), 1u);  // at the threshold, not above
+    // At the threshold, not above.
+    EXPECT_EQ(pickCandidate(SchedulerKind::AgeBased, cands, 8), 1u);
 }
 
 TEST(AgeBased, OldestFirstUnderPressure)
 {
     // Paper: the oldest request is promoted when more than eight
     // requests are outstanding at the controller.
-    auto s = makeScheduler(SchedulerKind::AgeBased);
     Cand old_miss(1, 10), young_hit(2, 500);
     std::vector<SchedCandidate> cands = {view(old_miss, false),
                                          view(young_hit, true)};
-    EXPECT_EQ(s->pick(cands, 9), 0u);
+    EXPECT_EQ(pickCandidate(SchedulerKind::AgeBased, cands, 9), 0u);
 }
 
 Cand
@@ -140,41 +133,37 @@ withSnap(std::uint64_t id, Cycle arrival, std::uint32_t outstanding,
 
 TEST(RequestBased, FewestOutstandingWins)
 {
-    auto s = makeScheduler(SchedulerKind::RequestBased);
     Cand heavy = withSnap(1, 10, 12, 0, 0, 0);
     Cand light = withSnap(2, 90, 2, 0, 0, 1);
     std::vector<SchedCandidate> cands = {view(heavy), view(light)};
-    EXPECT_EQ(s->pick(cands, 2), 1u);
+    EXPECT_EQ(pickCandidate(SchedulerKind::RequestBased, cands, 2), 1u);
 }
 
 TEST(RequestBased, HitFirstLeadsThreadKey)
 {
     // Section 3.2: a read hit beats a read miss even when the miss
     // comes from the thread with fewer pending requests.
-    auto s = makeScheduler(SchedulerKind::RequestBased);
     Cand heavy_hit = withSnap(1, 10, 12, 0, 0, 0);
     Cand light_miss = withSnap(2, 5, 1, 0, 0, 1);
     std::vector<SchedCandidate> cands = {view(heavy_hit, true),
                                          view(light_miss, false)};
-    EXPECT_EQ(s->pick(cands, 2), 0u);
+    EXPECT_EQ(pickCandidate(SchedulerKind::RequestBased, cands, 2), 0u);
 }
 
 TEST(RobBased, MostRobOccupancyWins)
 {
-    auto s = makeScheduler(SchedulerKind::RobBased);
     Cand small = withSnap(1, 10, 0, 30, 0, 0);
     Cand big = withSnap(2, 90, 0, 200, 0, 1);
     std::vector<SchedCandidate> cands = {view(small), view(big)};
-    EXPECT_EQ(s->pick(cands, 2), 1u);
+    EXPECT_EQ(pickCandidate(SchedulerKind::RobBased, cands, 2), 1u);
 }
 
 TEST(IqBased, MostIqOccupancyWins)
 {
-    auto s = makeScheduler(SchedulerKind::IqBased);
     Cand small = withSnap(1, 10, 0, 0, 3, 0);
     Cand big = withSnap(2, 90, 0, 0, 40, 1);
     std::vector<SchedCandidate> cands = {view(small), view(big)};
-    EXPECT_EQ(s->pick(cands, 2), 1u);
+    EXPECT_EQ(pickCandidate(SchedulerKind::IqBased, cands, 2), 1u);
 }
 
 TEST(ThreadAware, WritebacksRankAfterThreadRequests)
@@ -184,61 +173,107 @@ TEST(ThreadAware, WritebacksRankAfterThreadRequests)
     for (SchedulerKind kind :
          {SchedulerKind::RequestBased, SchedulerKind::RobBased,
           SchedulerKind::IqBased}) {
-        auto s = makeScheduler(kind);
         Cand wb(1, 5, MemOp::Read);  // same class, no thread
         wb.req.thread = kThreadNone;
         Cand owned = withSnap(2, 50, 15, 1, 1, 3);
         std::vector<SchedCandidate> cands = {view(wb), view(owned)};
-        EXPECT_EQ(s->pick(cands, 2), 1u) << schedulerName(kind);
+        EXPECT_EQ(pickCandidate(kind, cands, 2), 1u)
+            << schedulerName(kind);
     }
 }
 
 TEST(AllSchedulers, DeterministicOnIdenticalKeys)
 {
     // Fully tied candidates resolve by id, so repeated calls agree.
-    for (SchedulerKind kind : allSchedulerKinds()) {
-        auto s = makeScheduler(kind);
+    for (SchedulerKind kind : allSchedulerKindsExtended()) {
         Cand a(7, 10), b(9, 10);
         std::vector<SchedCandidate> cands = {view(a), view(b)};
-        const size_t first = s->pick(cands, 2);
+        const size_t first = pickCandidate(kind, cands, 2);
         for (int i = 0; i < 5; ++i)
-            EXPECT_EQ(s->pick(cands, 2), first);
+            EXPECT_EQ(pickCandidate(kind, cands, 2), first);
         EXPECT_EQ(first, 0u);  // lower id wins ties
     }
 }
 
 TEST(AllSchedulers, SingleCandidateAlwaysPicked)
 {
-    for (SchedulerKind kind : allSchedulerKinds()) {
-        auto s = makeScheduler(kind);
+    for (SchedulerKind kind : allSchedulerKindsExtended()) {
         Cand only(1, 10);
         std::vector<SchedCandidate> cands = {view(only)};
-        EXPECT_EQ(s->pick(cands, 20), 0u);
+        EXPECT_EQ(pickCandidate(kind, cands, 20), 0u);
+    }
+}
+
+TEST(AllSchedulers, PickIndependentOfCandidateOrder)
+{
+    // Every policy is a total order on the candidate fields, so the
+    // request picked must not depend on the order the controller
+    // gathered the candidates in.  Small value ranges make ties in
+    // every key field common, so the tie-breaks are exercised too.
+    Rng rng(2005);
+    for (int trial = 0; trial < 300; ++trial) {
+        const size_t n = 1 + rng.below(12);
+        std::vector<DramRequest> reqs(n);
+        std::vector<SchedCandidate> cands(n);
+        for (size_t i = 0; i < n; ++i) {
+            DramRequest &r = reqs[i];
+            r.id = 1 + i;
+            r.arrival = rng.below(6);
+            r.op = rng.chance(0.7) ? MemOp::Read : MemOp::Write;
+            r.thread = rng.chance(0.2)
+                           ? kThreadNone
+                           : static_cast<ThreadId>(rng.below(4));
+            r.critical = rng.chance(0.5);
+            r.snap.outstandingRequests =
+                static_cast<std::uint32_t>(rng.below(4));
+            r.snap.robOccupancy = static_cast<std::uint32_t>(rng.below(4));
+            r.snap.iqOccupancy = static_cast<std::uint32_t>(rng.below(4));
+            cands[i].req = &r;
+            cands[i].rowHit = rng.chance(0.4);
+            cands[i].bankIdle = rng.chance(0.3);
+        }
+        // Both sides of the age-based pressure threshold.
+        const size_t queued = trial % 2 ? 9 + rng.below(56)
+                                        : rng.below(9);
+        for (SchedulerKind kind : allSchedulerKindsExtended()) {
+            std::vector<SchedCandidate> order = cands;
+            const std::uint64_t want =
+                order[pickCandidate(kind, order, queued)].req->id;
+            for (int shuffle = 0; shuffle < 4; ++shuffle) {
+                for (size_t i = order.size(); i > 1; --i)
+                    std::swap(order[i - 1], order[rng.below(i)]);
+                EXPECT_EQ(order[pickCandidate(kind, order, queued)]
+                              .req->id,
+                          want)
+                    << schedulerName(kind) << " trial " << trial
+                    << " queued " << queued;
+            }
+        }
     }
 }
 
 TEST(CriticalityBased, CriticalReadLeadsWithinClass)
 {
-    auto s = makeScheduler(SchedulerKind::CriticalityBased);
     Cand store_fill(1, 10);
     store_fill.req.critical = false;
     Cand demand_load(2, 50);
     demand_load.req.critical = true;
     std::vector<SchedCandidate> cands = {view(store_fill),
                                          view(demand_load)};
-    EXPECT_EQ(s->pick(cands, 2), 1u);
+    EXPECT_EQ(pickCandidate(SchedulerKind::CriticalityBased, cands, 2),
+              1u);
 }
 
 TEST(CriticalityBased, HitFirstStillLeads)
 {
-    auto s = makeScheduler(SchedulerKind::CriticalityBased);
     Cand critical_miss(1, 10);
     critical_miss.req.critical = true;
     Cand noncritical_hit(2, 50);
     noncritical_hit.req.critical = false;
     std::vector<SchedCandidate> cands = {
         view(critical_miss, false), view(noncritical_hit, true)};
-    EXPECT_EQ(s->pick(cands, 2), 1u);
+    EXPECT_EQ(pickCandidate(SchedulerKind::CriticalityBased, cands, 2),
+              1u);
 }
 
 TEST(SchedulerNames, ExtendedListIncludesCriticality)

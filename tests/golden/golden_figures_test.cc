@@ -27,6 +27,7 @@
 
 #include "cpu/fetch_policy.hh"
 #include "sim/parallel_runner.hh"
+#include "workload/hammer_workload.hh"
 
 namespace smtdram
 {
@@ -342,6 +343,45 @@ TEST(GoldenFigures, Fig11Energy)
         }
     }
     checkGolden("fig11_energy", text);
+}
+
+TEST(GoldenFigures, Fig12Rowhammer)
+{
+    // Mirrors bench/fig12_rowhammer.cpp at its lowest threshold: a
+    // hammer-double thread joins 2-MEM with refresh on and the
+    // PageInterleave mapping, without and with Graphene-style
+    // preventive refresh, across the six Figure 10 schedulers.  Pins
+    // the mitigation queue and scheduling under refresh.
+    constexpr std::uint64_t kThreshold = 64;
+    const WorkloadMix mix = hostileMix("2-MEM", "hammer-double");
+    const auto threads = static_cast<std::uint32_t>(mix.apps.size());
+    std::string text;
+    for (bool mitigate : {false, true}) {
+        for (SchedulerKind scheduler : allSchedulerKinds()) {
+            SystemConfig config = SystemConfig::paperDefault(threads);
+            config.dram.mapping = MappingScheme::PageInterleave;
+            config.scheduler = scheduler;
+            config.dram.withRefresh();
+            config.dram.withHammer(kThreshold);
+            if (mitigate)
+                config.dram.withHammerMitigation(16, kThreshold / 4);
+            const std::string label =
+                mix.name + ".thr" + std::to_string(kThreshold) +
+                (mitigate ? "+mit." : ".") + schedulerName(scheduler);
+            const MixRun r = runner().runMix(config, mix);
+            appendRun(text, label, r);
+            appendMetric(text, label + ".victim_flips",
+                         static_cast<double>(r.run.hammer.victimFlips));
+            appendMetric(
+                text, label + ".prevrefs",
+                static_cast<double>(r.run.hammer.mitigationsIssued));
+            appendMetric(text, label + ".refreshes",
+                         static_cast<double>(r.run.dram.refreshes));
+            appendMetric(text, label + ".mitigation_energy_nj",
+                         r.run.power.mitigationEnergy);
+        }
+    }
+    checkGolden("fig12_rowhammer", text);
 }
 
 TEST(GoldenFigures, Fig13Blame)

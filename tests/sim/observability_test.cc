@@ -291,6 +291,29 @@ TEST(Observability, TraceLifecyclesConserve)
     EXPECT_LE(unterminated, 64u);
 }
 
+TEST(Observability, BlameCounterTracksNamedAfterComponents)
+{
+    // Each blame component has one epoch counter track per channel,
+    // named "blame_" + its stats key.
+    TempPaths tmp;
+    SystemConfig config = SystemConfig::paperDefault(2);
+    config.observe.tracePath = tmp.trace;
+    config.observe.epoch = 1000;
+    SmtSystem system(config, mixProfiles("2-MEM"), 42);
+    system.run(2000, 1000);
+
+    const std::string doc = slurp(tmp.trace);
+    for (std::size_t k = 0; k < kNumBlameComponents; ++k) {
+        const auto c = static_cast<BlameComponent>(k);
+        const std::string name =
+            std::string("blame_") + blameComponentName(c);
+        EXPECT_EQ(blameCounterName(c), name);
+        EXPECT_NE(doc.find("\"name\":\"" + name + "\""),
+                  std::string::npos)
+            << "no counter track " << name;
+    }
+}
+
 TEST(Observability, BaselineRunsDoNotClobberMixArtifacts)
 {
     // runMix() executes the mix first, then the per-app alone
