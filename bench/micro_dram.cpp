@@ -18,6 +18,7 @@
 #include "dram/address_mapping.hh"
 #include "dram/dram_system.hh"
 #include "dram/memory_controller.hh"
+#include "sim/experiment.hh"
 #include "sim/smt_system.hh"
 #include "workload/hammer_workload.hh"
 #include "workload/spec2000.hh"
@@ -410,6 +411,24 @@ BM_SimThroughput(benchmark::State &state)
         static_cast<double>(cycles), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_SimThroughput)->Arg(0)->Arg(1);
+
+/**
+ * Building one Table 1 machine on 4-MEM: page-table layout of every
+ * thread's regions, cache prewarm, and the tag arrays and queues.  A
+ * figure sweep pays this once per cell.
+ */
+void
+BM_MachineConstruct(benchmark::State &state)
+{
+    const SystemConfig config = SystemConfig::paperDefault(4);
+    const std::vector<AppProfile> apps =
+        profilesForMix(mixByName("4-MEM"));
+    for (auto _ : state) {
+        SmtSystem system(config, apps, 42);
+        benchmark::DoNotOptimize(&system);
+    }
+}
+BENCHMARK(BM_MachineConstruct);
 
 /**
  * Event-driven kernel payoff on memory-idle phases: one thread of

@@ -1,5 +1,7 @@
 #include "cache/cache_array.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace smtdram
@@ -9,150 +11,84 @@ CacheArray::CacheArray(const CacheLevelConfig &config, std::string name)
     : config_(config),
       name_(std::move(name)),
       sets_(config.numSets()),
-      lineShift_(floorLog2(config.lineBytes)),
-      setShift_(floorLog2(sets_))
+      lineShift_(floorLog2(config.lineBytes))
 {
     fatal_if(!isPowerOfTwo(config_.lineBytes),
              "%s: line size must be a power of 2", name_.c_str());
+    // Line numbers then fit below the two flag bits of a way word.
+    fatal_if(config_.lineBytes < 4, "%s: line size must be at least 4",
+             name_.c_str());
     fatal_if(sets_ == 0 || !isPowerOfTwo(sets_),
              "%s: set count %llu must be a non-zero power of 2",
              name_.c_str(), (unsigned long long)sets_);
-    lines_.resize(sets_ * config_.assoc);
-}
-
-std::uint64_t
-CacheArray::setIndex(Addr addr) const
-{
-    return (addr >> lineShift_) & (sets_ - 1);
-}
-
-Addr
-CacheArray::tagOf(Addr addr) const
-{
-    return addr >> lineShift_ >> setShift_;
-}
-
-Addr
-CacheArray::lineAddrOf(std::uint64_t set, Addr tag) const
-{
-    return ((tag << setShift_) | set) << lineShift_;
-}
-
-CacheArray::Line *
-CacheArray::findLine(Addr addr)
-{
-    const std::uint64_t set = setIndex(addr);
-    const Addr tag = tagOf(addr);
-    Line *base = &lines_[set * config_.assoc];
-    for (std::uint32_t w = 0; w < config_.assoc; ++w) {
-        if (base[w].valid && base[w].tag == tag)
-            return &base[w];
-    }
-    return nullptr;
-}
-
-const CacheArray::Line *
-CacheArray::findLine(Addr addr) const
-{
-    return const_cast<CacheArray *>(this)->findLine(addr);
+    if (!config_.infinite)
+        ways_.resize(sets_ * config_.assoc);
 }
 
 bool
 CacheArray::probe(Addr addr) const
 {
-    if (config_.infinite)
-        return true;
-    return findLine(addr) != nullptr;
-}
-
-bool
-CacheArray::access(Addr addr, bool make_dirty)
-{
-    if (hitAccess(addr, make_dirty))
-        return true;
-    demand_.miss();
-    return false;
+    return const_cast<CacheArray *>(this)->find(addr).hit;
 }
 
 bool
 CacheArray::hitAccess(Addr addr, bool make_dirty)
 {
-    if (config_.infinite) {
-        demand_.hit();
-        return true;
-    }
-    Line *line = findLine(addr);
-    if (line == nullptr)
-        return false;
-    line->lastUse = ++useClock_;
-    if (make_dirty)
-        line->dirty = true;
-    demand_.hit();
-    return true;
+    const Slot s = find(addr);
+    return s.hit && record(s, make_dirty);
 }
 
 CacheArray::Victim
 CacheArray::insert(Addr addr, bool dirty)
 {
-    if (config_.infinite)
-        return Victim{};
-    panic_if(findLine(addr) != nullptr,
+    panic_if(!config_.infinite && probe(addr),
              "%s: inserting already-present line %#llx", name_.c_str(),
              (unsigned long long)addr);
+    return fill(addr, dirty);
+}
 
-    const std::uint64_t set = setIndex(addr);
-    Line *base = &lines_[set * config_.assoc];
-    Line *slot = nullptr;
-    for (std::uint32_t w = 0; w < config_.assoc; ++w) {
-        if (!base[w].valid) {
-            slot = &base[w];
-            break;
-        }
-        if (slot == nullptr || base[w].lastUse < slot->lastUse)
-            slot = &base[w];
+CacheArray::Victim
+CacheArray::fill(Addr addr, bool dirty)
+{
+    const Slot s = find(addr);
+    if (s.set == nullptr)
+        return Victim{};  // an infinite level holds everything
+    const std::uint64_t dirty_bit = dirty ? kDirty : 0;
+    if (s.hit) {
+        s.set[s.way] |= dirty_bit;
+        return Victim{};
     }
-
-    Victim victim;
-    if (slot->valid) {
-        victim.valid = true;
-        victim.dirty = slot->dirty;
-        victim.lineAddr = lineAddrOf(set, slot->tag);
-    }
-
-    slot->valid = true;
-    slot->dirty = dirty;
-    slot->tag = tagOf(addr);
-    slot->lastUse = ++useClock_;
-    return victim;
+    // Shift the set down one way; the last word is the LRU victim.
+    std::uint64_t *set = s.set;
+    const std::uint64_t last = set[config_.assoc - 1];
+    std::copy_backward(set, set + config_.assoc - 1, set + config_.assoc);
+    set[0] = wordOf(addr) | dirty_bit;
+    if (last == 0)
+        return Victim{};
+    return Victim{true, (last & kDirty) != 0,
+                  (last & ~(kValid | kDirty)) << lineShift_};
 }
 
 bool
 CacheArray::setDirty(Addr addr)
 {
-    if (config_.infinite)
-        return true;
-    Line *line = findLine(addr);
-    if (line == nullptr)
-        return false;
-    line->dirty = true;
-    return true;
+    const Slot s = find(addr);
+    if (s.hit && s.set != nullptr)
+        s.set[s.way] |= kDirty;
+    return s.hit;
 }
 
 CacheArray::Victim
 CacheArray::invalidate(Addr addr)
 {
-    Victim v;
-    if (config_.infinite)
-        return v;
-    Line *line = findLine(addr);
-    if (line != nullptr) {
-        v.valid = true;
-        v.dirty = line->dirty;
-        v.lineAddr = addr & ~static_cast<Addr>(config_.lineBytes - 1);
-        line->valid = false;
-        line->dirty = false;
-    }
-    return v;
+    const Slot s = find(addr);
+    if (!s.hit || s.set == nullptr)
+        return Victim{};
+    const std::uint64_t word = s.set[s.way];
+    std::copy(s.set + s.way + 1, s.set + config_.assoc, s.set + s.way);
+    s.set[config_.assoc - 1] = 0;
+    return Victim{true, (word & kDirty) != 0,
+                  addr & ~static_cast<Addr>(config_.lineBytes - 1)};
 }
 
 } // namespace smtdram

@@ -38,6 +38,7 @@ Hierarchy::Hierarchy(const HierarchyConfig &config, MemoryPort &dram,
     // is the most lines that can ever be in flight at once.
     mshrs_.resize(config.l1i.mshrs + config.l1d.mshrs +
                   config.prefetchMshrs);
+    mshrLines_.resize(mshrs_.size());
     dram_.setReadCallback([this](const DramRequest &req) {
         scheduleFill(req.addr,
                      std::max(req.completion + config_.dramReturnOverhead,
@@ -48,27 +49,22 @@ Hierarchy::Hierarchy(const HierarchyConfig &config, MemoryPort &dram,
 Hierarchy::Mshr *
 Hierarchy::findMshr(Addr line_addr)
 {
-    for (Mshr &m : mshrs_) {
-        if (m.lineAddr == line_addr)
-            return &m;
-    }
-    return nullptr;
+    const auto live = mshrLines_.begin() + mshrsLive_;
+    const auto it = std::find(mshrLines_.begin(), live, line_addr);
+    return it == live ? nullptr : &mshrs_[it - mshrLines_.begin()];
 }
 
 Hierarchy::Mshr &
 Hierarchy::allocateMshr(Addr line_addr, MissSource source)
 {
-    for (Mshr &m : mshrs_) {
-        if (m.lineAddr != kAddrInvalid)
-            continue;
-        m.lineAddr = line_addr;
-        m.source = source;
-        m.fillL1i = m.fillL1d = m.dirtyOnFill = m.prefetch = false;
-        m.targets.clear();
-        ++mshrsLive_;
-        return m;
-    }
-    panic("MSHR file of %zu entries overflowed", mshrs_.size());
+    panic_if(mshrsLive_ == mshrs_.size(),
+             "MSHR file of %zu entries overflowed", mshrs_.size());
+    mshrLines_[mshrsLive_] = line_addr;
+    Mshr &m = mshrs_[mshrsLive_++];
+    m.source = source;
+    m.fillL1i = m.fillL1d = m.dirtyOnFill = m.prefetch = false;
+    m.targets.clear();
+    return m;
 }
 
 void
@@ -91,16 +87,6 @@ Hierarchy::scheduleFill(Addr line_addr, Cycle when)
     events_.schedule(when, [this, line_addr] { handleFill(line_addr); });
 }
 
-MissSource
-Hierarchy::classifyMiss(Addr line_addr) const
-{
-    if (l2_.probe(line_addr))
-        return MissSource::L2;
-    if (l3_.probe(line_addr))
-        return MissSource::L3;
-    return MissSource::Dram;
-}
-
 AccessResult
 Hierarchy::access(AccessKind kind, ThreadId tid, InstSeq seq, Addr vaddr,
                   Cycle now)
@@ -116,7 +102,11 @@ Hierarchy::access(AccessKind kind, ThreadId tid, InstSeq seq, Addr vaddr,
 
     AccessResult res;
 
-    if (l1.hitAccess(line, kind == AccessKind::Store)) {
+    // Each level is searched once: a miss is recorded later from the
+    // slot found here, and no tag array changes in between.
+    const CacheArray::Slot at_l1 = l1.find(line);
+    if (at_l1.hit) {
+        l1.record(at_l1, kind == AccessKind::Store);
         res.status = AccessResult::Status::Hit;
         res.latency = l1.config().latency + tlb_penalty;
         return res;
@@ -135,7 +125,7 @@ Hierarchy::access(AccessKind kind, ThreadId tid, InstSeq seq, Addr vaddr,
             ++l1_mshr_used;
             (is_fetch ? m.fillL1i : m.fillL1d) = true;
         }
-        l1.access(line, false);  // record the demand miss
+        l1.record(at_l1, false);  // the demand miss
         addTarget(m, kind, tid, seq);
         ++coalescedTargets_;
         res.status = AccessResult::Status::Pending;
@@ -143,7 +133,12 @@ Hierarchy::access(AccessKind kind, ThreadId tid, InstSeq seq, Addr vaddr,
     }
 
     // --- New miss: classify, check resources, then commit ----------
-    const MissSource source = classifyMiss(line);
+    const CacheArray::Slot at_l2 = l2_.find(line);
+    const CacheArray::Slot at_l3 =
+        at_l2.hit ? CacheArray::Slot{} : l3_.find(line);
+    const MissSource source = at_l2.hit   ? MissSource::L2
+                              : at_l3.hit ? MissSource::L3
+                                          : MissSource::Dram;
 
     if (l1_mshr_used >= l1.config().mshrs) {
         ++blockedAccesses_;
@@ -161,11 +156,11 @@ Hierarchy::access(AccessKind kind, ThreadId tid, InstSeq seq, Addr vaddr,
         }
     }
 
-    // Committed: record demand stats (consistent with the probes).
-    l1.access(line, false);
-    l2_.access(line, false);
+    // Committed: record demand stats from the searches above.
+    l1.record(at_l1, false);
+    l2_.record(at_l2, false);
     if (source != MissSource::L2)
-        l3_.access(line, false);
+        l3_.record(at_l3, false);
 
     if (auto it_pf = prefetchedLines_.find(line);
         it_pf != prefetchedLines_.end()) {
@@ -243,9 +238,8 @@ Hierarchy::maybePrefetch(ThreadId tid, Addr demand_line, Cycle now)
 void
 Hierarchy::writebackInto(CacheArray &level, Addr line_addr, Cycle now)
 {
-    if (level.setDirty(line_addr))
-        return;  // already present: absorbed
-    CacheArray::Victim victim = level.insert(line_addr, true);
+    // A present line absorbs the writeback; an absent one is installed.
+    const CacheArray::Victim victim = level.fill(line_addr, true);
     if (!victim.valid || !victim.dirty)
         return;
     if (&level == &l2_) {
@@ -275,31 +269,32 @@ Hierarchy::handleFill(Addr line_addr)
     Mshr *found = findMshr(line_addr);
     panic_if(!found, "fill for unknown line %#llx",
              (unsigned long long)line_addr);
-    Mshr &m = *found;
-    m.lineAddr = kAddrInvalid;
-    --mshrsLive_;
+    // Release the entry: the last live entry takes its place, and it
+    // moves just past the live ones, where it stays intact until the
+    // next allocation (nothing below allocates).
+    const size_t freed = found - mshrs_.data();
+    const size_t last = --mshrsLive_;
+    std::swap(mshrs_[freed], mshrs_[last]);
+    mshrLines_[freed] = mshrLines_[last];
+    Mshr &m = mshrs_[last];
 
     // Install outermost-first so inner victims can land outward.
-    if (m.source == MissSource::Dram && !l3_.probe(line_addr)) {
-        CacheArray::Victim v = l3_.insert(line_addr, false);
+    if (m.source == MissSource::Dram) {
+        const CacheArray::Victim v = l3_.fill(line_addr, false);
         if (v.valid && v.dirty)
             queueDramWrite(v.lineAddr, now);
     }
-    if (m.source != MissSource::L2 && !l2_.probe(line_addr)) {
-        CacheArray::Victim v = l2_.insert(line_addr, false);
+    if (m.source != MissSource::L2) {
+        const CacheArray::Victim v = l2_.fill(line_addr, false);
         if (v.valid && v.dirty)
             writebackInto(l3_, v.lineAddr, now);
     }
-    if (m.fillL1i && !l1i_.probe(line_addr)) {
-        // Instruction lines are never dirty.
-        l1i_.insert(line_addr, false);
-    }
-    if (m.fillL1d && !l1d_.probe(line_addr)) {
-        CacheArray::Victim v = l1d_.insert(line_addr, m.dirtyOnFill);
+    if (m.fillL1i)
+        l1i_.fill(line_addr, false);  // instruction lines are never dirty
+    if (m.fillL1d) {
+        const CacheArray::Victim v = l1d_.fill(line_addr, m.dirtyOnFill);
         if (v.valid && v.dirty)
             writebackInto(l2_, v.lineAddr, now);
-    } else if (m.fillL1d && m.dirtyOnFill) {
-        l1d_.setDirty(line_addr);
     }
 
     // Release MSHRs.
@@ -358,12 +353,10 @@ void
 Hierarchy::prewarmLine(ThreadId tid, Addr vaddr, bool into_l1)
 {
     const Addr line = lineAlign(pt_->translate(tid, vaddr));
-    if (!l3_.probe(line))
-        l3_.insert(line, false);
-    if (!l2_.probe(line))
-        l2_.insert(line, false);
-    if (into_l1 && !l1d_.probe(line))
-        l1d_.insert(line, false);
+    l3_.fill(line, false);
+    l2_.fill(line, false);
+    if (into_l1)
+        l1d_.fill(line, false);
 }
 
 void

@@ -191,9 +191,8 @@ class Hierarchy
         AccessKind kind;
     };
 
-    /** One line-granular miss in flight; free when lineAddr is invalid. */
+    /** One line-granular miss in flight; its line is in mshrLines_. */
     struct Mshr {
-        Addr lineAddr = kAddrInvalid;
         MissSource source = MissSource::L2;
         bool fillL1i = false;
         bool fillL1d = false;
@@ -217,9 +216,6 @@ class Hierarchy
 
     /** Issue a next-line prefetch for the demand miss at @p line. */
     void maybePrefetch(ThreadId tid, Addr demand_line, Cycle now);
-
-    /** Walk the tag arrays to find where a missing line will hit. */
-    MissSource classifyMiss(Addr line_addr) const;
 
     /** Install @p line_addr at fill time (events_.now()), cascade
      *  victims, and complete its targets. */
@@ -257,6 +253,9 @@ class Hierarchy
 
     /** The MSHR file, sized at construction and never resized. */
     std::vector<Mshr> mshrs_;
+    /** mshrLines_[i] is the line of mshrs_[i].  Live entries are
+     *  packed first, so findMshr() scans only mshrsLive_ addresses. */
+    std::vector<Addr> mshrLines_;
     std::uint32_t mshrsLive_ = 0;
     std::uint32_t mshrUsedL1i_ = 0;
     std::uint32_t mshrUsedL1d_ = 0;

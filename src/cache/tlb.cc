@@ -23,19 +23,33 @@ PageTables::translate(ThreadId tid, Addr vaddr)
     LastXlate &last = last_[tid];
     if (last.vpage == vpage)
         return (last.frame << pageShift_) | offset;
-    auto &pt = tables_[tid];
-    auto it = pt.find(vpage);
-    Addr frame;
-    if (it == pt.end()) {
+    Addr &frame = leafOf(tables_[tid], vpage)[vpage & (kLeafPages - 1)];
+    if (frame == kAddrInvalid) {
         ++nextFrame_;
         frame = frameSource_ ? frameSource_(tid) : nextFrame_ - 1;
-        pt.emplace(vpage, frame);
-    } else {
-        frame = it->second;
     }
     last.vpage = vpage;
     last.frame = frame;
     return (frame << pageShift_) | offset;
+}
+
+PageTables::Leaf &
+PageTables::leafOf(Table &t, Addr vpage)
+{
+    const Addr region = vpage >> kLeafShift;
+    if (region == t.lastRegion)
+        return *t.lastLeaf;
+    auto it = std::lower_bound(
+        t.dir.begin(), t.dir.end(), region,
+        [](const auto &entry, Addr r) { return entry.first < r; });
+    if (it == t.dir.end() || it->first != region) {
+        auto leaf = std::make_unique<Leaf>();
+        leaf->fill(kAddrInvalid);
+        it = t.dir.emplace(it, region, std::move(leaf));
+    }
+    t.lastRegion = region;
+    t.lastLeaf = it->second.get();
+    return *t.lastLeaf;
 }
 
 Tlb::Tlb(std::uint32_t entries, Cycle miss_penalty)

@@ -13,9 +13,11 @@
 #ifndef SMTDRAM_CACHE_TLB_HH
 #define SMTDRAM_CACHE_TLB_HH
 
+#include <array>
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "cache/cache_config.hh"
@@ -25,7 +27,14 @@
 namespace smtdram
 {
 
-/** Per-thread page tables; instruction and data share one space. */
+/**
+ * Per-thread page tables; instruction and data share one space.
+ * Each thread has a two-level radix table: a sorted directory keyed by
+ * the page number's high bits (vpage >> kLeafShift) points to leaves of
+ * 512 frames, kAddrInvalid marking an unmapped page.  A leaf is made
+ * when its 512-page region is first touched, so a dense region costs
+ * 8 bytes per page.
+ */
 class PageTables
 {
   public:
@@ -50,17 +59,36 @@ class PageTables
     }
 
   private:
+    static constexpr unsigned kLeafShift = 9;
+    static constexpr Addr kLeafPages = Addr{1} << kLeafShift;
+
+    /** Frames of one 512-page region, kAddrInvalid where unmapped. */
+    using Leaf = std::array<Addr, kLeafPages>;
+
+    /** One thread's radix table. */
+    struct Table {
+        /** (vpage >> kLeafShift, leaf), sorted by region. */
+        std::vector<std::pair<Addr, std::unique_ptr<Leaf>>> dir;
+        /** The leaf of the last region looked up (a page walk usually
+         *  stays in its region), nullptr before the first. */
+        Addr lastRegion = kAddrInvalid;
+        Leaf *lastLeaf = nullptr;
+    };
+
     /** Last translation per thread.  Mappings are allocate-on-first-
      *  touch and never change or disappear, so this one-entry cache
-     *  needs no invalidation — it only short-circuits the hash
-     *  lookup for the overwhelmingly common same-page repeat. */
+     *  needs no invalidation — it only short-circuits the table walk
+     *  for the overwhelmingly common same-page repeat. */
     struct LastXlate {
         Addr vpage = kAddrInvalid;
         Addr frame = 0;
     };
 
+    /** The leaf holding @p vpage of @p t, made on first touch. */
+    static Leaf &leafOf(Table &t, Addr vpage);
+
     std::uint32_t pageShift_;
-    std::vector<std::unordered_map<Addr, Addr>> tables_;
+    std::vector<Table> tables_;
     std::vector<LastXlate> last_;
     std::uint64_t nextFrame_ = 0;
     std::function<Addr(ThreadId)> frameSource_;

@@ -44,49 +44,69 @@ constexpr size_t kAgePressure = 8;
 /** Thread key of a writeback: after every thread-owned request. */
 constexpr std::int64_t kNoThreadKey = 1LL << 40;
 
+/** Thread key @p key of an owned request; writebacks rank last. */
+std::int64_t
+ownedKey(const DramRequest &r, std::int64_t key)
+{
+    return r.thread != kThreadNone ? key : kNoThreadKey;
+}
+
 /**
  * The policy table.  Thread-aware policies keep hit-first and
  * read-first as the leading criteria (Section 3.2 explains why
  * bandwidth trumps single-access latency under SMT) and break ties
  * with the snapshot piggybacked on the request; writebacks carry no
  * thread and rank after every thread-owned request in their class.
+ * Hit-first is the plain row, with thread key 0.  A template on the
+ * policy, so a pick resolves the policy once and each candidate
+ * computes only its own row.
  */
+template <SchedulerKind K>
 Key
-keyOf(SchedulerKind kind, const SchedCandidate &c, size_t queued)
+keyOf(const SchedCandidate &c, [[maybe_unused]] size_t queued)
 {
     const DramRequest &r = *c.req;
     const int hit_class = c.rowHit ? 0 : c.bankIdle ? 1 : 2;
     const int read_class = r.op == MemOp::Read ? 0 : 1;
-    const bool owned = r.thread != kThreadNone;
     std::int64_t thread_key = 0;
-    switch (kind) {
-      case SchedulerKind::Fcfs:
+    if constexpr (K == SchedulerKind::Fcfs) {
         // Reads bypass writes (the paper's FCFS reference point);
         // otherwise strict arrival order.
         return Key{0, read_class, 0, r.arrival, r.id};
-      case SchedulerKind::HitFirst:
-        break;
-      case SchedulerKind::AgeBased:
+    } else if constexpr (K == SchedulerKind::AgeBased) {
         if (queued > kAgePressure)
             return Key{0, 0, 0, r.arrival, r.id};
-        break;
-      case SchedulerKind::RequestBased:  // fewest outstanding first
-        thread_key = owned ? r.snap.outstandingRequests : kNoThreadKey;
-        break;
-      case SchedulerKind::RobBased:  // most ROB entries held first
-        thread_key = owned ? -std::int64_t{r.snap.robOccupancy}
-                           : kNoThreadKey;
-        break;
-      case SchedulerKind::IqBased:  // most int IQ entries held first
-        thread_key = owned ? -std::int64_t{r.snap.iqOccupancy}
-                           : kNoThreadKey;
-        break;
-      case SchedulerKind::CriticalityBased:
+    } else if constexpr (K == SchedulerKind::RequestBased) {
+        // Fewest outstanding first.
+        thread_key = ownedKey(r, r.snap.outstandingRequests);
+    } else if constexpr (K == SchedulerKind::RobBased) {
+        // Most ROB entries held first.
+        thread_key = ownedKey(r, -std::int64_t{r.snap.robOccupancy});
+    } else if constexpr (K == SchedulerKind::IqBased) {
+        // Most int IQ entries held first.
+        thread_key = ownedKey(r, -std::int64_t{r.snap.iqOccupancy});
+    } else if constexpr (K == SchedulerKind::CriticalityBased) {
         // Critical requests lead within their hit/read class.
         thread_key = r.critical ? 0 : 1;
-        break;
     }
     return Key{hit_class, read_class, thread_key, r.arrival, r.id};
+}
+
+/** The candidate with the smallest keyOf<K>. */
+template <SchedulerKind K>
+size_t
+pickWith(const std::vector<SchedCandidate> &candidates, size_t queued)
+{
+    size_t best = 0;
+    Key best_key = keyOf<K>(candidates[0], queued);
+    for (size_t i = 1; i < candidates.size(); ++i) {
+        const Key k = keyOf<K>(candidates[i], queued);
+        if (k < best_key) {
+            best_key = k;
+            best = i;
+        }
+    }
+    return best;
 }
 
 } // namespace
@@ -162,16 +182,24 @@ pickCandidate(SchedulerKind kind,
               const std::vector<SchedCandidate> &candidates, size_t queued)
 {
     panic_if(candidates.empty(), "scheduler invoked with no candidates");
-    size_t best = 0;
-    Key best_key = keyOf(kind, candidates[0], queued);
-    for (size_t i = 1; i < candidates.size(); ++i) {
-        const Key k = keyOf(kind, candidates[i], queued);
-        if (k < best_key) {
-            best_key = k;
-            best = i;
-        }
+    switch (kind) {
+      case SchedulerKind::Fcfs:
+        return pickWith<SchedulerKind::Fcfs>(candidates, queued);
+      case SchedulerKind::HitFirst:
+        return pickWith<SchedulerKind::HitFirst>(candidates, queued);
+      case SchedulerKind::AgeBased:
+        return pickWith<SchedulerKind::AgeBased>(candidates, queued);
+      case SchedulerKind::RequestBased:
+        return pickWith<SchedulerKind::RequestBased>(candidates, queued);
+      case SchedulerKind::RobBased:
+        return pickWith<SchedulerKind::RobBased>(candidates, queued);
+      case SchedulerKind::IqBased:
+        return pickWith<SchedulerKind::IqBased>(candidates, queued);
+      case SchedulerKind::CriticalityBased:
+        return pickWith<SchedulerKind::CriticalityBased>(candidates,
+                                                         queued);
     }
-    return best;
+    panic("unknown SchedulerKind %d", static_cast<int>(kind));
 }
 
 } // namespace smtdram

@@ -193,12 +193,36 @@ TEST(CacheArray, HitAccessLeavesMissesUncounted)
     EXPECT_TRUE(cache.invalidate(addrOf(0, 1)).dirty);
 }
 
+TEST(CacheArray, FillOfPresentLineOnlyAddsDirty)
+{
+    CacheArray cache(tiny(), "t");
+    EXPECT_FALSE(cache.fill(addrOf(0, 1), false).valid);
+    EXPECT_FALSE(cache.fill(addrOf(0, 2), false).valid);
+    // Tag 1 is LRU; filling it again dirties it but must not make it
+    // most recent, so the next insert still evicts it, now dirty.
+    EXPECT_FALSE(cache.fill(addrOf(0, 1), true).valid);
+    const CacheArray::Victim v = cache.fill(addrOf(0, 3), false);
+    ASSERT_TRUE(v.valid);
+    EXPECT_EQ(v.lineAddr, addrOf(0, 1));
+    EXPECT_TRUE(v.dirty);
+    EXPECT_EQ(cache.demandStats().total(), 0u);
+}
+
 TEST(CacheArrayDeathTest, DoubleInsertPanics)
 {
     CacheArray cache(tiny(), "t");
     cache.insert(addrOf(0, 1), false);
     EXPECT_DEATH(cache.insert(addrOf(0, 1), false),
                  "already-present");
+}
+
+TEST(CacheArrayDeathTest, LinesUnderFourBytesAreRejected)
+{
+    // A 2-byte line number could reach the valid/dirty flag bits.
+    CacheLevelConfig c = tiny();
+    c.lineBytes = 2;
+    c.sizeBytes = 8;
+    EXPECT_DEATH(CacheArray(c, "t"), "at least 4");
 }
 
 TEST(CacheArray, ResetStats)

@@ -1,7 +1,8 @@
 /**
  * @file
  * Steady-state heap-allocation gate for the DRAM request path and
- * the whole simulated machine.
+ * the whole simulated machine, and a live-heap gate on the size of a
+ * freshly built machine.
  *
  * This binary replaces the global allocation operators with counting
  * wrappers, warms a memory system to its high-water occupancy, and
@@ -18,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <execinfo.h>
+#include <malloc.h>
 
 #include <atomic>
 #include <cstdint>
@@ -27,6 +29,7 @@
 
 #include "common/random.hh"
 #include "dram/dram_system.hh"
+#include "sim/experiment.hh"
 #include "sim/smt_system.hh"
 #include "workload/spec2000.hh"
 
@@ -34,6 +37,8 @@ namespace
 {
 
 std::atomic<std::uint64_t> g_allocCalls{0};
+/** Bytes held by live operator-new blocks (usable sizes). */
+std::atomic<std::int64_t> g_liveBytes{0};
 /** With SMTDRAM_ALLOC_TRACE set, backtraces left to dump to stderr. */
 std::atomic<long> g_traceBudget{0};
 /** Allocations to let pass before dumping (skips boundary noise). */
@@ -55,9 +60,23 @@ countedAlloc(std::size_t size)
             backtrace_symbols_fd(frames, n, 2);
         }
     }
-    if (void *p = std::malloc(size ? size : 1))
+    if (void *p = std::malloc(size ? size : 1)) {
+        g_liveBytes.fetch_add(
+            static_cast<std::int64_t>(malloc_usable_size(p)),
+            std::memory_order_relaxed);
         return p;
+    }
     throw std::bad_alloc();
+}
+
+void
+countedFree(void *p)
+{
+    if (p == nullptr)
+        return;
+    g_liveBytes.fetch_sub(static_cast<std::int64_t>(malloc_usable_size(p)),
+                          std::memory_order_relaxed);
+    std::free(p);
 }
 
 /**
@@ -92,25 +111,25 @@ operator new[](std::size_t size)
 void
 operator delete(void *p) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 
 void
 operator delete[](void *p) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 
 void
 operator delete(void *p, std::size_t) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 
 void
 operator delete[](void *p, std::size_t) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 
 namespace smtdram
@@ -122,6 +141,12 @@ std::uint64_t
 allocCalls()
 {
     return g_allocCalls.load(std::memory_order_relaxed);
+}
+
+std::int64_t
+liveBytes()
+{
+    return g_liveBytes.load(std::memory_order_relaxed);
 }
 
 /** Drive @p dram with a fixed random mix for @p cycles cycles. */
@@ -247,6 +272,26 @@ TEST(ZeroAllocTest, SmtRunSteadyStateBoundedPerCycleKernel)
 TEST(ZeroAllocTest, SmtRunSteadyStateBoundedEventKernel)
 {
     runBothPhases(KernelMode::EventDriven);
+}
+
+/**
+ * Host footprint of one Table 1 machine running 4-MEM, right after
+ * construction (page tables laid out, caches prewarmed).  Its
+ * hardware-sized parts are about 0.6 MiB of 8-byte tag words and
+ * 8 bytes per mapped page (about 48,000 pages); the 2 MiB bound leaves room
+ * for the queues and the core, and trips when a per-line or per-page
+ * structure grows.
+ */
+TEST(FootprintTest, Table1MachineLiveHeap)
+{
+    const std::vector<AppProfile> apps =
+        profilesForMix(mixByName("4-MEM"));
+    const std::int64_t before = liveBytes();
+    SmtSystem system(SystemConfig::paperDefault(4), apps, 42);
+    const std::int64_t bytes = liveBytes() - before;
+    EXPECT_LE(bytes, std::int64_t{2} << 20)
+        << "a Table 1 4-MEM machine holds " << bytes
+        << " bytes of heap after construction";
 }
 
 } // namespace
